@@ -21,7 +21,10 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
+        if not 1 <= len(self.qubits) <= 2:
+            raise ValueError(f"{self.name} acts on {len(self.qubits)} qubits; "
+                             "gates act on one or two")
+        if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.name} acts twice on qubit {self.qubits[0]}")
 
     @property
@@ -84,28 +87,6 @@ class Circuit:
         return (isinstance(other, Circuit) and self.qubits == other.qubits
                 and self.gates == other.gates)
 
-    def predecessor_counts(self) -> list[int]:
-        """Number of direct DAG predecessors per gate (last writer per qubit)."""
-        counts = [0] * len(self.gates)
-        last: dict[int, int] = {}
-        for i, g in enumerate(self.gates):
-            preds = {last[q] for q in g.qubits if q in last}
-            counts[i] = len(preds)
-            for q in g.qubits:
-                last[q] = i
-        return counts
-
-    def successors(self) -> list[list[int]]:
-        succ: list[list[int]] = [[] for _ in self.gates]
-        last: dict[int, int] = {}
-        for i, g in enumerate(self.gates):
-            preds = {last[q] for q in g.qubits if q in last}
-            for p in preds:
-                succ[p].append(i)
-            for q in g.qubits:
-                last[q] = i
-        return succ
-
 
 def front_layer(circuit: Circuit, executed: set[int]) -> FrontLayer:
     """First layer of the DAG after removing the executed gates.
@@ -129,13 +110,26 @@ def front_layer(circuit: Circuit, executed: set[int]) -> FrontLayer:
 
 
 def layers(circuit: Circuit) -> list[FrontLayer]:
-    """Partition gates into layers; the count is the circuit depth."""
-    executed: set[int] = set()
+    """Partition gates into layers; the count is the circuit depth.
+
+    Each gate sits in the layer of its ASAP level: one past the deepest
+    earlier gate sharing a qubit (per-qubit running max, as in
+    :func:`weighted_metrics`).  Layer ``k`` is therefore what
+    :func:`front_layer` returns once layers ``0..k-1`` are executed, with
+    its gates in ascending gate index.  One pass: O(gates + qubits).
+    """
+    ready = [0] * circuit.n_qubits
     out: list[FrontLayer] = []
-    while len(executed) < len(circuit.gates):
-        fl = front_layer(circuit, executed)
-        out.append(fl)
-        executed.update(fl.gates)
+    for i, g in enumerate(circuit.gates):
+        level = max(ready[q] for q in g.qubits)
+        if level == len(out):
+            out.append(FrontLayer([], []))
+        fl = out[level]
+        fl.gates.append(i)
+        if g.is_two_qubit:
+            fl.two_qubit.append((i, (g.qubits[0], g.qubits[1])))
+        for q in g.qubits:
+            ready[q] = level + 1
     return out
 
 

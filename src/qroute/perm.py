@@ -50,8 +50,8 @@ class PartialPermutation:
         return (isinstance(other, PartialPermutation)
                 and self.n == other.n and self.forward == other.forward)
 
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(self.forward)))
+    # Mutable (see apply_swap), so unhashable; key() is the hashable view.
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{s}->{t}" for s, t in self.items())
@@ -79,7 +79,7 @@ class PartialPermutation:
         return all(t is None or t == s for s, t in enumerate(self.forward))
 
     def key(self) -> tuple[int | None, ...]:
-        """Hashable snapshot, usable as a memoization key."""
+        """Hashable snapshot, usable as a memoization key or set member."""
         return tuple(self.forward)
 
     def inverse(self) -> "PartialPermutation":

@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qroute.circuit import (Circuit, Gate, GateWeights, front_layer, layers,
                             random_circuit, weighted_metrics)
@@ -18,6 +19,39 @@ def circ(n, gates):
 
 def cx(a, b):
     return Gate("cx", (a, b))
+
+
+def rescan_layers(c):
+    """Reference layering: peel front layers off one rescan at a time."""
+    executed, out = set(), []
+    while len(executed) < len(c.gates):
+        fl = front_layer(c, executed)
+        out.append((fl.gates, fl.two_qubit))
+        executed.update(fl.gates)
+    return out
+
+
+@st.composite
+def circuits(draw):
+    """Circuits of up to 40 h/u/cx/swap gates; any qubit may stay idle."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    qubit = st.integers(0, n - 1)
+    one = st.builds(lambda name, q: Gate(name, (q,)), st.sampled_from(["h", "u"]), qubit)
+    two = st.builds(lambda name, qs: Gate(name, tuple(qs)), st.sampled_from(["cx", "swap"]),
+                    st.lists(qubit, min_size=2, max_size=2, unique=True))
+    return circ(n, draw(st.lists(one | two, max_size=40)))
+
+
+class TestGate:
+    @pytest.mark.parametrize("qubits", [(), (0, 1, 2)])
+    def test_rejects_arity_outside_one_or_two(self, qubits):
+        with pytest.raises(ValueError, match="acts on"):
+            Gate("cx", qubits)
+
+    @pytest.mark.parametrize("qubits", [(0, 0), (0, 0, 1)])
+    def test_rejects_repeated_qubit(self, qubits):
+        with pytest.raises(ValueError):
+            Gate("cx", qubits)
 
 
 class TestFrontLayer:
@@ -61,6 +95,14 @@ class TestLayers:
                 if q in last:
                     assert pos[last[q]] < pos[i]
                 last[q] = i
+
+    def test_empty_circuit(self):
+        assert layers(circ(3, [])) == []
+
+    @given(circuits())
+    def test_matches_front_layer_rescan(self, c):
+        assert [(fl.gates, fl.two_qubit) for fl in layers(c)] == rescan_layers(c)
+        assert len(layers(c)) == weighted_metrics(c, GateWeights(1, 1, 1)).weighted_depth
 
 
 class TestWeightedMetrics:

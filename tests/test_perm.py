@@ -152,3 +152,17 @@ class TestResolved:
 
     def test_empty_vacuously_resolved(self):
         assert PartialPermutation(3).is_resolved()
+
+
+class TestHashing:
+    def test_mutable_pp_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(pp(3, {0: 1}))
+
+    def test_key_is_a_set_member_that_tracks_swaps(self):
+        p = pp(3, {0: 1, 2: 0})
+        seen = {p.key()}
+        p.apply_swap(0, 1)
+        assert p.key() not in seen
+        p.apply_swap(0, 1)
+        assert p.key() in seen
