@@ -8,6 +8,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 Edge = tuple[int, int]
 
@@ -59,35 +61,25 @@ class ArchitectureGraph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
+    def _sparse_adjacency(self) -> csr_matrix:
+        """CSR form of adj; symmetric, as adj lists each edge from both ends."""
+        indices = np.array([v for nbrs in self.adj for v in nbrs], dtype=np.int64)
+        indptr = np.cumsum([0] + [len(nbrs) for nbrs in self.adj])
+        return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(self.n, self.n))
+
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
+        return connected_components(self._sparse_adjacency())[0] <= 1
 
     def distances(self) -> np.ndarray:
-        """All-pairs hop distances, BFS from every vertex, cached."""
+        """All-pairs hop distances as int64, cached.
+
+        Raises ValueError when the graph is disconnected.
+        """
         if self._dist is None:
-            if not self.is_connected():
+            d = shortest_path(self._sparse_adjacency(), unweighted=True)
+            if np.isinf(d).any():
                 raise ValueError("distance matrix requires a connected graph")
-            d = np.full((self.n, self.n), -1, dtype=np.int64)
-            for s in range(self.n):
-                d[s, s] = 0
-                queue = deque([s])
-                while queue:
-                    u = queue.popleft()
-                    for v in self.adj[u]:
-                        if d[s, v] < 0:
-                            d[s, v] = d[s, u] + 1
-                            queue.append(v)
-            self._dist = d
+            self._dist = d.astype(np.int64)
         return self._dist
 
     def diameter(self) -> int:
@@ -133,6 +125,8 @@ def hierarchical_product(g1: ArchitectureGraph, g2: ArchitectureGraph,
     n1, n2 = g1.n, g2.n
     if len(vec) != n2:
         raise ValueError(f"vec has length {len(vec)}, expected {n2}")
+    if any(x not in (0, 1) for x in vec):
+        raise ValueError(f"vec entries must be 0 or 1, got {tuple(vec)}")
     if not any(vec):
         raise ValueError("vec must have at least one 1 (graph would be disconnected)")
     edges: set[Edge] = set()

@@ -6,7 +6,6 @@ matched edge set.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 
@@ -114,38 +113,39 @@ def _cost_matrix(b: WeightedBipartiteGraph) -> np.ndarray:
     return cost
 
 
-def _solve_assignment(cost: np.ndarray) -> tuple[float, list[int]] | None:
+def _solve_assignment(cost: np.ndarray) -> list[int] | None:
     """Min-cost perfect assignment on a square matrix with inf = forbidden.
 
-    Returns (total, cols) or None when no perfect matching exists.
+    Returns the column of each row, or None when no perfect matching exists.
     """
     n = cost.shape[0]
-    finite = cost[np.isfinite(cost)]
-    big = (abs(finite).max() if finite.size else 1.0) * n + 1.0
-    work = np.where(np.isfinite(cost), cost, big * 2)
-    rows, cols = linear_sum_assignment(work)
-    if any(not math.isfinite(cost[r, c]) for r, c in zip(rows, cols)):
+    finite = np.isfinite(cost)
+    big = (abs(cost[finite]).max() if finite.any() else 1.0) * n + 1.0
+    rows, cols = linear_sum_assignment(np.where(finite, cost, big * 2))
+    if not finite[rows, cols].all():
         return None
-    order = np.argsort(rows)
-    return float(cost[rows, cols].sum()), [int(cols[i]) for i in order]
+    return cols.tolist()  # rows come back as 0..n-1
 
 
-def _lex_min_assignment(cost: np.ndarray) -> list[int] | None:
-    """Exhaustive lexicographically-smallest optimal assignment (small n)."""
-    n = cost.shape[0]
-    best_total, best = INF, None
-    for perm in itertools.permutations(range(n)):
-        total = 0.0
-        ok = True
-        for r, c in enumerate(perm):
-            w = cost[r, c]
-            if not math.isfinite(w):
-                ok = False
-                break
-            total += w
-        if ok and total < best_total - 1e-12:
-            best_total, best = total, list(perm)
-    return best
+def _tight_edges(cost: np.ndarray, cols: list[int]) -> np.ndarray:
+    """Edges of zero reduced cost under optimal duals for the optimum cols.
+
+    Column potentials v are shortest distances over edges cols[r] -> c of
+    weight cost[r, c] - cost[r, cols[r]], which have no negative cycle as cols
+    is optimal; row potentials are u[r] = cost[r, cols[r]] - v[cols[r]].
+    """
+    n = len(cols)
+    assigned = cost[np.arange(n), cols]
+    step = cost - assigned[:, None]
+    v = np.zeros(n)
+    for _ in range(n):
+        relaxed = np.minimum(v, (v[cols][:, None] + step).min(axis=0))
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    u = assigned - v[cols]
+    tol = 1e-9 * max(1.0, float(abs(cost[np.isfinite(cost)]).max()))
+    return cost - u[:, None] - v[None, :] <= tol
 
 
 def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, int]]:
@@ -154,6 +154,15 @@ def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, in
     Negative weights are permitted.  Among equal-weight optima the
     lexicographically smallest edge set is returned.  Raises ValueError when
     no perfect matching exists.
+
+    One assignment solve gives an optimum, and optimal duals recovered from
+    it by Bellman-Ford mark the tight edges, those of zero reduced cost: the
+    optimal matchings are exactly the perfect matchings of tight edges.  Rows
+    are then fixed in order.  A breadth-first search over tight edges of later
+    rows finds every column the row can take by rotating an alternating cycle,
+    and the row takes the smallest.  Reduced costs up to 1e-9 times
+    max(1, largest |weight|) count as tight, so optima closer than that are
+    ties.  Cost: one solve plus O(n^3).
     """
     if b.n_left != b.n_right:
         raise ValueError(f"sides differ: {b.n_left} != {b.n_right}")
@@ -161,34 +170,24 @@ def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, in
     if n == 0:
         return []
     cost = _cost_matrix(b)
-    if n <= 5:
-        cols = _lex_min_assignment(cost)
-        if cols is None:
-            raise ValueError("no perfect matching exists")
-        return [(r, c) for r, c in enumerate(cols)]
-
-    solved = _solve_assignment(cost)
-    if solved is None:
+    cols = _solve_assignment(cost)
+    if cols is None:
         raise ValueError("no perfect matching exists")
-    total = solved[0]
-    # Fix rows in order to the smallest column that keeps the optimum.
-    fixed_cols: list[int] = []
-    avail = list(range(n))
+    tight = _tight_edges(cost, cols).tolist()
     for row in range(n):
-        rest_rows = list(range(row + 1, n))
-        chosen = None
-        for c in avail:
-            if not math.isfinite(cost[row, c]):
-                continue
-            sub = cost[np.ix_(rest_rows, [x for x in avail if x != c])] if rest_rows else np.zeros((0, 0))
-            sub_solved = _solve_assignment(sub) if rest_rows else (0.0, [])
-            if sub_solved is None:
-                continue
-            fixed_total = sum(cost[r, cc] for r, cc in enumerate(fixed_cols)) + cost[row, c] + sub_solved[0]
-            if fixed_total <= total + 1e-9:
-                chosen = c
-                break
-        assert chosen is not None, "assignment refinement lost feasibility"
-        fixed_cols.append(chosen)
-        avail.remove(chosen)
-    return [(r, c) for r, c in enumerate(fixed_cols)]
+        best = tight[row].index(True)  # the smallest column worth reaching
+        # via[c] = (r, x): row r can move to column x, freeing c for row.
+        via: dict[int, tuple[int, int] | None] = {cols[row]: None}
+        queue = deque(via)
+        while queue and best not in via:
+            x = queue.popleft()
+            for r in range(row + 1, n):
+                if tight[r][x] and cols[r] not in via:
+                    via[cols[r]] = (r, x)
+                    queue.append(cols[r])
+        chosen = c = min(col for col in via if tight[row][col])
+        while via[c] is not None:
+            r, c = via[c]
+            cols[r] = c
+        cols[row] = chosen
+    return list(enumerate(cols))

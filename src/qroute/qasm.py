@@ -45,7 +45,7 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
             continue
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
             if stmt.startswith("qreg"):
-                qm = _QREG.match(stmt)
+                qm = _QREG.fullmatch(stmt)
                 if not qm:
                     raise QasmError(lineno, f"bad qreg statement {stmt!r}")
                 if circuit is not None:
@@ -62,13 +62,18 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
                 raise QasmError(lineno, f"unknown gate {name!r}")
             n_params, n_args = _GATE_ARITY[name]
             raw_params = sm.group("params")
-            params = tuple(float(p) for p in raw_params.split(",")) if raw_params else ()
+            try:
+                params = tuple(float(p) for p in raw_params.split(",")) if raw_params else ()
+            except ValueError:
+                raise QasmError(lineno, f"bad parameters {raw_params!r}") from None
             if len(params) != n_params:
                 raise QasmError(lineno, f"{name} expects {n_params} parameters")
-            args = _ARG.findall(sm.group("args"))
+            args = [_ARG.fullmatch(a.strip()) for a in sm.group("args").split(",")]
+            if not all(args):
+                raise QasmError(lineno, f"bad qubit arguments {sm.group('args')!r}")
             if len(args) != n_args:
                 raise QasmError(lineno, f"{name} expects {n_args} qubit arguments")
-            qubits = tuple(int(a) for a in args)
+            qubits = tuple(int(a.group(1)) for a in args)
             for q in qubits:
                 if q >= circuit.n_qubits:
                     raise QasmError(lineno, f"qubit index {q} out of range")

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is deliberately naive: exhaustive search and breadth-first
-search over explicit state spaces.  None of it shares code with the library
-algorithms it checks.
+Everything here is deliberately naive: exhaustive search, breadth-first
+search over explicit state spaces, and repeated calls to scipy's assignment
+solver.  None of it shares code with the library algorithms it checks.
 """
 from __future__ import annotations
 
@@ -144,6 +144,45 @@ def brute_min_weight_pm(cost: list[list[float]]) -> tuple[float, list[int]] | No
     if best is None:
         return None
     return best_total, best
+
+
+def refix_min_weight_pm(cost: list[list[float]]) -> list[int] | None:
+    """Lex-smallest optimal column assignment, or None if infeasible.
+
+    Fixes rows in order, each to the smallest column that keeps the optimum,
+    re-solving the rest with scipy after every trial: up to n^2 solves, but
+    fine for n in the tens, where brute_min_weight_pm cannot go.
+    cost[r][c] = math.inf marks a forbidden pair.
+    """
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    def optimum(sub: np.ndarray) -> float:
+        if sub.size == 0:
+            return 0.0
+        finite = np.isfinite(sub)
+        big = (abs(sub[finite]).max() if finite.any() else 1.0) * len(sub) + 1.0
+        rows, cols = linear_sum_assignment(np.where(finite, sub, 2 * big))
+        return float(sub[rows, cols].sum())  # inf if a forbidden pair is used
+
+    c = np.array(cost, dtype=float)
+    n = len(c)
+    total = optimum(c)
+    if not math.isfinite(total):
+        return None
+    fixed, avail, out = 0.0, list(range(n)), []
+    for row in range(n):
+        for col in avail:
+            rest = [x for x in avail if x != col]
+            trial = fixed + c[row, col] + optimum(c[np.ix_(range(row + 1, n), rest)])
+            if trial <= total + 1e-9:
+                break
+        else:
+            raise AssertionError("row fixing lost the optimum")
+        out.append(col)
+        avail.remove(col)
+        fixed += c[row, col]
+    return out
 
 
 def connected_small_graphs(max_n: int) -> list[tuple[int, list[tuple[int, int]]]]:

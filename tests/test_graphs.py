@@ -1,11 +1,15 @@
 """Architecture graph construction and distances."""
 import itertools
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from qroute.graphs import (ArchitectureGraph, build_architecture, complete_graph,
                            grid_graph, hierarchical_product, induced_subgraph,
                            modular_graph, parse_hier_file, path_graph)
+
+from oracles import connected_small_graphs
 
 
 class TestBuilders:
@@ -39,6 +43,15 @@ class TestBuilders:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             hierarchical_product(path_graph(2), path_graph(2), (0, 0))
+
+    @pytest.mark.parametrize("vec", [(2, 0), (-1, 0), (1, 7)])
+    def test_vector_entries_other_than_0_1_rejected(self, vec):
+        with pytest.raises(ValueError, match="0 or 1"):
+            hierarchical_product(path_graph(2), path_graph(2), vec)
+
+    def test_hier_file_rejects_vector_entry_2(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            parse_hier_file("n1 2\nn2 3\nv 2 0 7\ne1 0 1\ne2 0 1\ne2 1 2\n")
 
     def test_spec_strings(self):
         assert build_architecture("path:4").kind == "path"
@@ -85,6 +98,32 @@ class TestDistances:
 
     def test_disconnected_rejected(self):
         g = ArchitectureGraph(3, {(0, 1)})
+        with pytest.raises(ValueError):
+            g.distances()
+
+    def test_equal_networkx_lengths(self):
+        graphs = [ArchitectureGraph(n, set(edges)) for n, edges in connected_small_graphs(6)]
+        graphs += [ArchitectureGraph(0, set()), ArchitectureGraph(1, set()),
+                   grid_graph(3, 4), modular_graph(3, 4),
+                   hierarchical_product(path_graph(3), complete_graph(3), (0, 1, 1)),
+                   hierarchical_product(complete_graph(3), path_graph(4), (1, 0, 0, 1))]
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            expect = np.zeros((g.n, g.n), dtype=np.int64)
+            for s, lengths in nx.all_pairs_shortest_path_length(h):
+                for t, hops in lengths.items():
+                    expect[s, t] = hops
+            d = g.distances()
+            assert g.is_connected()
+            assert d.dtype == np.int64
+            assert np.array_equal(d, expect), g
+
+    @pytest.mark.parametrize("n,edges", [(2, set()), (4, {(0, 1), (2, 3)})])
+    def test_more_disconnected_graphs_rejected(self, n, edges):
+        g = ArchitectureGraph(n, edges)
+        assert not g.is_connected()
         with pytest.raises(ValueError):
             g.distances()
 

@@ -3,12 +3,14 @@ import math
 import random
 
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from qroute import matching
 from qroute.graphs import complete_graph, path_graph, grid_graph
 from qroute.matching import (WeightedBipartiteGraph, max_bipartite_matching,
                              maximal_matching, min_weight_perfect_matching)
 
-from oracles import brute_max_bipartite, brute_min_weight_pm
+from oracles import brute_max_bipartite, brute_min_weight_pm, refix_min_weight_pm
 
 
 class TestMaximalMatching:
@@ -103,3 +105,40 @@ class TestMinWeightPerfect:
             total = sum(cost[l][r] for l, r in got)
             assert total == pytest.approx(expect[0])
             assert [r for _, r in got] == expect[1]  # exact lex tie-break
+
+    # Placement costs are hop distances: {0..3} ties like a modular device,
+    # {0..60} spreads like a 32x32 grid.
+    @pytest.mark.parametrize("weights", ["ties", "spread", "float"])
+    def test_random_against_refixing_reference(self, weights):
+        rng = random.Random(weights)
+        draw = {"ties": lambda: float(rng.randint(0, 3)),
+                "spread": lambda: float(rng.randint(0, 60)),
+                "float": lambda: rng.uniform(-5.0, 20.0)}[weights]
+        for _ in range(10):
+            n = rng.randint(6, 40)
+            density = rng.choice([1.0, 0.8, 0.5])
+            cost = [[draw() if rng.random() < density else math.inf
+                     for _ in range(n)] for _ in range(n)]
+            b = WeightedBipartiteGraph(n, n, [(l, r, w) for l, row in enumerate(cost)
+                                              for r, w in enumerate(row)
+                                              if math.isfinite(w)])
+            expect = refix_min_weight_pm(cost)
+            if expect is None:
+                with pytest.raises(ValueError):
+                    min_weight_perfect_matching(b)
+                continue
+            assert [r for _, r in min_weight_perfect_matching(b)] == expect
+
+    def test_one_assignment_solve(self, monkeypatch):
+        calls = []
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+        rng = random.Random(20)
+        b = WeightedBipartiteGraph(20, 20, [(l, r, float(rng.randint(0, 3)))
+                                            for l in range(20) for r in range(20)])
+        min_weight_perfect_matching(b)
+        assert calls == [(20, 20)]
