@@ -24,7 +24,7 @@ class Gate:
         if not 1 <= len(self.qubits) <= 2:
             raise ValueError(f"{self.name} acts on {len(self.qubits)} qubits; "
                              "gates act on one or two")
-        if len(set(self.qubits)) != len(self.qubits):
+        if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"{self.name} acts twice on qubit {self.qubits[0]}")
 
     @property

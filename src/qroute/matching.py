@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -15,33 +16,47 @@ from scipy.optimize import linear_sum_assignment
 from .graphs import ArchitectureGraph, Edge
 
 INF = math.inf
+# Endpoints are read as floats so that a fractional one can be rejected
+# rather than truncated.
+_TRIPLE = np.dtype([("l", np.float64), ("r", np.float64), ("w", np.float64)])
 
 
 class WeightedBipartiteGraph:
     """Bipartite multigraph with real edge weights.
 
-    Edges are (left, right, weight) triples; parallel edges are allowed.
+    Edges are (left, right, weight) triples; parallel edges are allowed.  They
+    are kept as three arrays in input order: ``left`` and ``right`` (intp)
+    and ``weight`` (float64).  Endpoints must be integers in range and
+    weights finite; a ValueError names the first edge that is not.
     """
 
     def __init__(self, n_left: int, n_right: int,
-                 edges: list[tuple[int, int, float]] | None = None):
+                 edges: Sequence[tuple[int, int, float]] = ()):
         self.n_left = n_left
         self.n_right = n_right
-        self.edges: list[tuple[int, int, float]] = []
-        for l, r, w in edges or []:
-            self.add_edge(l, r, w)
-
-    def add_edge(self, l: int, r: int, w: float = 1.0) -> None:
-        if not (0 <= l < self.n_left and 0 <= r < self.n_right):
-            raise ValueError(f"edge ({l}, {r}) out of range")
-        if not math.isfinite(w):
+        edges = edges or ()
+        triples = np.fromiter(edges, _TRIPLE, len(edges))
+        left, right, weight = triples["l"], triples["r"], triples["w"]
+        fractional = (left != np.floor(left)) | (right != np.floor(right))
+        outside = ~((0 <= left) & (left < n_left) & (0 <= right) & (right < n_right))
+        infinite = ~np.isfinite(weight)
+        bad = fractional | outside | infinite
+        if bad.any():
+            i = int(bad.argmax())
+            l, r, w = edges[i]
+            if fractional[i]:
+                raise ValueError(f"edge ({l}, {r}) has a non-integer endpoint")
+            if outside[i]:
+                raise ValueError(f"edge ({l}, {r}) out of range")
             raise ValueError(f"edge weight {w} is not finite")
-        self.edges.append((l, r, float(w)))
+        self.left = left.astype(np.intp)
+        self.right = right.astype(np.intp)
+        self.weight = weight.copy()
 
     def support(self) -> dict[int, list[int]]:
         """Distinct (left -> sorted rights) adjacency, ignoring weights."""
         adj: dict[int, set[int]] = {}
-        for l, r, _ in self.edges:
+        for l, r in zip(self.left.tolist(), self.right.tolist()):
             adj.setdefault(l, set()).add(r)
         return {l: sorted(rs) for l, rs in adj.items()}
 
@@ -107,9 +122,7 @@ def max_bipartite_matching(b: WeightedBipartiteGraph) -> list[tuple[int, int]]:
 
 def _cost_matrix(b: WeightedBipartiteGraph) -> np.ndarray:
     cost = np.full((b.n_left, b.n_right), INF)
-    for l, r, w in b.edges:
-        if w < cost[l, r]:
-            cost[l, r] = w
+    np.minimum.at(cost, (b.left, b.right), b.weight)  # parallel edges: cheapest
     return cost
 
 

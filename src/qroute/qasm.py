@@ -3,16 +3,33 @@
 Grammar: a ``qreg q[N];`` header, then statements ``u(f,f,f) q[i];``,
 ``h q[i];``, ``x q[i];``, ``rz(f) q[i];``, ``cx q[i],q[j];``,
 ``swap q[i],q[j];``.  ``//`` comments are ignored; whitespace is free-form.
+The register holds at most ``MAX_QUBITS`` qubits, and gate parameters must be
+finite (``nan``, ``inf`` and literals that overflow to infinity are rejected).
 Emitted circuits can carry initial/final qubit-to-vertex mapping comments,
 which :func:`parse_qasm` returns when present.
 """
 from __future__ import annotations
 
+import math
 import re
+from typing import NoReturn
 
 from .circuit import Circuit, Gate
 
+# The register size is checked before any per-qubit list is built.
+MAX_QUBITS = 1 << 16
+
 _QREG = re.compile(r"qreg\s+q\s*\[\s*(\d+)\s*\]")
+# One gate statement, optionally closed by its ';': the name, the parameter
+# text and one or two qubit indices.  The name is the whole run of letters, so
+# ``hq[0]`` cannot split into ``h q[0]`` (a possessive ``++`` would need
+# Python 3.11).  Nothing but the closing ';' can match a ';', so a line it
+# accepts holds exactly this statement.  Names starting with ``qreg`` are the
+# header's.
+_GATE = re.compile(r"\s*(?!qreg)([a-zA-Z]+)(?![a-zA-Z])\s*(?:\(([^);]*)\))?"
+                   r"\s*q\s*\[\s*(\d+)\s*\]\s*(?:,\s*q\s*\[\s*(\d+)\s*\]\s*)?;?\s*")
+# The loose decomposition below only names the error once _GATE has missed or
+# a check has failed.
 _STMT = re.compile(r"^(?P<name>[a-zA-Z]+)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>[^;]*)$")
 _ARG = re.compile(r"q\s*\[\s*(\d+)\s*\]")
 _MAPPING = re.compile(r"//\s*(initial|final):\s*(\S+)\s*->\s*v\[(\d+)\]")
@@ -36,53 +53,94 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
     initial: dict[str, int] = {}
     final: dict[str, int] = {}
     circuit: Circuit | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _MAPPING.search(raw)
-        if m:
-            (initial if m.group(1) == "initial" else final)[m.group(2)] = int(m.group(3))
-        line = raw.split("//", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "//" in line:
+            m = _MAPPING.search(line)
+            if m:
+                (initial if m.group(1) == "initial" else final)[m.group(2)] = int(m.group(3))
+            line = line.split("//", 1)[0]
+        # The usual line holds one gate statement and needs no ';' split.
+        if circuit is not None and (m := _GATE.fullmatch(line)):
+            circuit.gates.append(_gate(m, lineno, circuit.n_qubits))
             continue
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
             if stmt.startswith("qreg"):
-                qm = _QREG.fullmatch(stmt)
-                if not qm:
-                    raise QasmError(lineno, f"bad qreg statement {stmt!r}")
+                size = _qreg_size(stmt, lineno)
                 if circuit is not None:
                     raise QasmError(lineno, "duplicate qreg")
-                circuit = Circuit([f"q[{i}]" for i in range(int(qm.group(1)))])
+                circuit = Circuit([f"q[{i}]" for i in range(size)])
                 continue
             if circuit is None:
                 raise QasmError(lineno, "statement before qreg header")
-            sm = _STMT.match(stmt)
-            if not sm:
-                raise QasmError(lineno, f"cannot parse {stmt!r}")
-            name = sm.group("name").lower()
-            if name not in _GATE_ARITY:
-                raise QasmError(lineno, f"unknown gate {name!r}")
-            n_params, n_args = _GATE_ARITY[name]
-            raw_params = sm.group("params")
-            try:
-                params = tuple(float(p) for p in raw_params.split(",")) if raw_params else ()
-            except ValueError:
-                raise QasmError(lineno, f"bad parameters {raw_params!r}") from None
-            if len(params) != n_params:
-                raise QasmError(lineno, f"{name} expects {n_params} parameters")
-            args = [_ARG.fullmatch(a.strip()) for a in sm.group("args").split(",")]
-            if not all(args):
-                raise QasmError(lineno, f"bad qubit arguments {sm.group('args')!r}")
-            if len(args) != n_args:
-                raise QasmError(lineno, f"{name} expects {n_args} qubit arguments")
-            qubits = tuple(int(a.group(1)) for a in args)
-            for q in qubits:
-                if q >= circuit.n_qubits:
-                    raise QasmError(lineno, f"qubit index {q} out of range")
-            if n_args == 2 and qubits[0] == qubits[1]:
-                raise QasmError(lineno, f"{name} operands must differ")
-            circuit.append(Gate(name, qubits, params))
+            m = _GATE.fullmatch(stmt)
+            if m is None:
+                _reject(stmt, lineno, circuit.n_qubits)
+            circuit.gates.append(_gate(m, lineno, circuit.n_qubits))
     if circuit is None:
         raise QasmError(0, "missing qreg header")
     return circuit, (initial or None), (final or None)
+
+
+def _qreg_size(stmt: str, lineno: int) -> int:
+    qm = _QREG.fullmatch(stmt)
+    if not qm:
+        raise QasmError(lineno, f"bad qreg statement {stmt!r}")
+    try:
+        size = int(qm.group(1))
+    except ValueError:  # more digits than int() converts
+        size = MAX_QUBITS + 1
+    if size > MAX_QUBITS:
+        raise QasmError(lineno, f"qreg size exceeds {MAX_QUBITS} qubits")
+    return size
+
+
+def _gate(m: re.Match, lineno: int, n_qubits: int) -> Gate:
+    """The gate a _GATE match denotes, once every check has passed."""
+    name, raw_params, a, b = m.groups()
+    name = name.lower()
+    try:
+        params = tuple(map(float, raw_params.split(","))) if raw_params else ()
+    except ValueError:
+        _reject(m.group().strip(), lineno, n_qubits)
+    qubits = (int(a),) if b is None else (int(a), int(b))
+    if (_GATE_ARITY.get(name) != (len(params), len(qubits))
+            or max(qubits) >= n_qubits or (b is not None and qubits[0] == qubits[1])
+            or not all(map(math.isfinite, params))):
+        _reject(m.group().strip(), lineno, n_qubits)
+    return Gate(name, qubits, params)
+
+
+def _reject(stmt: str, lineno: int, n_qubits: int) -> NoReturn:
+    """Raise the QasmError that names what is wrong with a gate statement."""
+    stmt = stmt.removesuffix(";").rstrip()
+    sm = _STMT.match(stmt)
+    if not sm:
+        raise QasmError(lineno, f"cannot parse {stmt!r}")
+    name = sm.group("name").lower()
+    if name not in _GATE_ARITY:
+        raise QasmError(lineno, f"unknown gate {name!r}")
+    n_params, n_args = _GATE_ARITY[name]
+    raw_params = sm.group("params")
+    try:
+        params = tuple(float(p) for p in raw_params.split(",")) if raw_params else ()
+    except ValueError:
+        raise QasmError(lineno, f"bad parameters {raw_params!r}") from None
+    if not all(map(math.isfinite, params)):
+        raise QasmError(lineno, f"parameters {raw_params!r} are not finite")
+    if len(params) != n_params:
+        raise QasmError(lineno, f"{name} expects {n_params} parameters")
+    args = [_ARG.fullmatch(a.strip()) for a in sm.group("args").split(",")]
+    if not all(args):
+        raise QasmError(lineno, f"bad qubit arguments {sm.group('args')!r}")
+    if len(args) != n_args:
+        raise QasmError(lineno, f"{name} expects {n_args} qubit arguments")
+    qubits = [int(a.group(1)) for a in args]
+    for q in qubits:
+        if q >= n_qubits:
+            raise QasmError(lineno, f"qubit index {q} out of range")
+    if n_args == 2 and qubits[0] == qubits[1]:
+        raise QasmError(lineno, f"{name} operands must differ")
+    raise QasmError(lineno, f"cannot parse {stmt!r}")
 
 
 def _fmt(x: float) -> str:
@@ -97,9 +155,10 @@ def emit_qasm(circuit: Circuit, initial_map: dict[str, int] | None = None,
     for q, v in (initial_map or {}).items():
         lines.append(f"// initial: {q} -> v[{v}]")
     lines.append(f"qreg q[{circuit.n_qubits}];")
+    names = [f"q[{i}]" for i in range(circuit.n_qubits)]
     for g in circuit.gates:
-        params = f"({','.join(_fmt(p) for p in g.params)})" if g.params else ""
-        args = ",".join(f"q[{q}]" for q in g.qubits)
+        params = f"({','.join(map(_fmt, g.params))})" if g.params else ""
+        args = ",".join([names[q] for q in g.qubits])
         lines.append(f"{g.name}{params} {args};")
     for q, v in (final_map or {}).items():
         lines.append(f"// final: {q} -> v[{v}]")

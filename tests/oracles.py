@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import deque
 
 State = tuple  # forward array of a partial permutation, None = no token
@@ -213,3 +214,85 @@ def longest_weighted_path(gate_qubits: list[tuple[int, ...]],
         incoming = max((best[j] for j in preds[i]), default=0)
         best[i] = incoming + gate_weights[i]
     return max(best, default=0)
+
+
+# QASM reference: the statement-by-statement parser and the plain emitter the
+# library replaced.  It shares only Circuit, Gate and QasmError with
+# qroute.qasm, accepts non-finite parameters and has no register cap.
+_REF_QREG = re.compile(r"qreg\s+q\s*\[\s*(\d+)\s*\]")
+_REF_STMT = re.compile(r"^(?P<name>[a-zA-Z]+)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>[^;]*)$")
+_REF_ARG = re.compile(r"q\s*\[\s*(\d+)\s*\]")
+_REF_MAPPING = re.compile(r"//\s*(initial|final):\s*(\S+)\s*->\s*v\[(\d+)\]")
+_REF_ARITY = {"u": (3, 1), "h": (0, 1), "x": (0, 1), "rz": (1, 1),
+              "cx": (0, 2), "swap": (0, 2)}
+
+
+def reference_parse_qasm(text: str):
+    """(circuit, initial_map, final_map), raising QasmError on bad input."""
+    from qroute.circuit import Circuit, Gate
+    from qroute.qasm import QasmError
+
+    initial: dict[str, int] = {}
+    final: dict[str, int] = {}
+    circuit = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _REF_MAPPING.search(raw)
+        if m:
+            (initial if m.group(1) == "initial" else final)[m.group(2)] = int(m.group(3))
+        line = raw.split("//", 1)[0].strip()
+        if not line:
+            continue
+        for stmt in filter(None, (s.strip() for s in line.split(";"))):
+            if stmt.startswith("qreg"):
+                qm = _REF_QREG.fullmatch(stmt)
+                if not qm:
+                    raise QasmError(lineno, f"bad qreg statement {stmt!r}")
+                if circuit is not None:
+                    raise QasmError(lineno, "duplicate qreg")
+                circuit = Circuit([f"q[{i}]" for i in range(int(qm.group(1)))])
+                continue
+            if circuit is None:
+                raise QasmError(lineno, "statement before qreg header")
+            sm = _REF_STMT.match(stmt)
+            if not sm:
+                raise QasmError(lineno, f"cannot parse {stmt!r}")
+            name = sm.group("name").lower()
+            if name not in _REF_ARITY:
+                raise QasmError(lineno, f"unknown gate {name!r}")
+            n_params, n_args = _REF_ARITY[name]
+            raw_params = sm.group("params")
+            try:
+                params = tuple(float(p) for p in raw_params.split(",")) if raw_params else ()
+            except ValueError:
+                raise QasmError(lineno, f"bad parameters {raw_params!r}") from None
+            if len(params) != n_params:
+                raise QasmError(lineno, f"{name} expects {n_params} parameters")
+            args = [_REF_ARG.fullmatch(a.strip()) for a in sm.group("args").split(",")]
+            if not all(args):
+                raise QasmError(lineno, f"bad qubit arguments {sm.group('args')!r}")
+            if len(args) != n_args:
+                raise QasmError(lineno, f"{name} expects {n_args} qubit arguments")
+            qubits = tuple(int(a.group(1)) for a in args)
+            for q in qubits:
+                if q >= circuit.n_qubits:
+                    raise QasmError(lineno, f"qubit index {q} out of range")
+            if n_args == 2 and qubits[0] == qubits[1]:
+                raise QasmError(lineno, f"{name} operands must differ")
+            circuit.append(Gate(name, qubits, params))
+    if circuit is None:
+        raise QasmError(0, "missing qreg header")
+    return circuit, (initial or None), (final or None)
+
+
+def reference_emit_qasm(circuit, initial_map=None, final_map=None) -> str:
+    lines: list[str] = []
+    for q, v in (initial_map or {}).items():
+        lines.append(f"// initial: {q} -> v[{v}]")
+    lines.append(f"qreg q[{circuit.n_qubits}];")
+    for g in circuit.gates:
+        params = f"({','.join(repr(float(p)) for p in g.params)})" if g.params else ""
+        args = ",".join(f"q[{q}]" for q in g.qubits)
+        lines.append(f"{g.name}{params} {args};")
+    for q, v in (final_map or {}).items():
+        lines.append(f"// final: {q} -> v[{v}]")
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
@@ -57,6 +58,38 @@ class TestMaxBipartite:
             assert len({r for _, r in m}) == len(m)
             assert all(p in pairs for p in m)
             assert len(m) == brute_max_bipartite(nl, nr, pairs)
+
+
+class TestWeightedBipartiteGraph:
+    def test_arrays_in_input_order(self):
+        b = WeightedBipartiteGraph(2, 3, [(1, 2, 0.5), (0, 0, 3), (1, 2, -1)])
+        assert b.left.dtype == b.right.dtype == np.intp and b.weight.dtype == np.float64
+        assert b.left.tolist() == [1, 0, 1] and b.right.tolist() == [2, 0, 2]
+        assert b.weight.tolist() == [0.5, 3.0, -1.0]
+        assert b.support() == {1: [2], 0: [0]}
+
+    def test_empty(self):
+        for b in (WeightedBipartiteGraph(2, 2), WeightedBipartiteGraph(2, 2, [])):
+            assert len(b.left) == len(b.right) == len(b.weight) == 0
+            assert b.support() == {} and max_bipartite_matching(b) == []
+        assert min_weight_perfect_matching(WeightedBipartiteGraph(0, 0, [])) == []
+
+    def test_parallel_edges_keep_cheapest(self):
+        b = WeightedBipartiteGraph(2, 2, [(0, 1, 4.0), (0, 1, -2.0), (0, 1, 7.0),
+                                          (1, 0, 1.0)])
+        assert matching._cost_matrix(b).tolist() == [[math.inf, -2.0], [1.0, math.inf]]
+
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 0, 1.0), (2, 0, 1.0), (0, 5, math.nan)], r"edge \(2, 0\) out of range"),
+        ([(0, -1, 1.0)], r"edge \(0, -1\) out of range"),
+        ([(0, 0, 1.0), (1, 1, math.inf), (5, 0, 1.0)], "edge weight inf is not finite"),
+        ([(0, 1, math.nan)], "edge weight nan is not finite"),
+        ([(1, 0, 1.0), (0.5, 0, 1.0), (9, 0, 1.0)], r"edge \(0.5, 0\) has a non-integer"),
+        ([(0, math.nan, 1.0)], r"edge \(0, nan\) has a non-integer"),
+    ])
+    def test_first_bad_edge_is_named(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            WeightedBipartiteGraph(2, 2, edges)
 
 
 class TestMinWeightPerfect:

@@ -1,0 +1,40 @@
+"""Microbenches of the hot primitives, each asserting its result.
+
+Few rounds keep each one well under a second; run with
+``--benchmark-only`` for timings alone.
+"""
+import random
+
+import pytest
+
+from qroute.circuit import random_circuit
+from qroute.matching import WeightedBipartiteGraph, min_weight_perfect_matching
+from qroute.qasm import emit_qasm, parse_qasm
+
+from oracles import refix_min_weight_pm
+
+_CIRCUIT = random_circuit(16, 60, seed=0)
+_TEXT = emit_qasm(_CIRCUIT)
+
+
+def test_parse_qasm(benchmark):
+    circuit, _, _ = benchmark.pedantic(parse_qasm, (_TEXT,), rounds=5, iterations=1)
+    assert circuit == _CIRCUIT
+
+
+def test_emit_qasm(benchmark):
+    text = benchmark.pedantic(emit_qasm, (_CIRCUIT,), rounds=5, iterations=1)
+    assert text == _TEXT
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_min_weight_perfect_matching(benchmark, k):
+    rng = random.Random(k)
+    cost = [[rng.randint(0, 60) for _ in range(k)] for _ in range(k)]
+    edges = [(l, r, w) for l, row in enumerate(cost) for r, w in enumerate(row)]
+
+    def place():
+        return min_weight_perfect_matching(WeightedBipartiteGraph(k, k, edges))
+
+    got = benchmark.pedantic(place, rounds=20, iterations=1)
+    assert [r for _, r in got] == refix_min_weight_pm(cost)

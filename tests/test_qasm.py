@@ -1,10 +1,15 @@
 """QASM subset round-tripping and error reporting."""
+import math
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qroute.circuit import Circuit, Gate, random_circuit
-from qroute.qasm import QasmError, emit_qasm, parse_qasm
+from qroute.qasm import MAX_QUBITS, QasmError, emit_qasm, parse_qasm
+
+from oracles import reference_emit_qasm, reference_parse_qasm
 
 
 class TestParse:
@@ -39,16 +44,28 @@ class TestParse:
         with pytest.raises(QasmError):
             parse_qasm("qreg q[2]; cx q[0],q[0];")
 
+    def test_duplicate_qreg(self):
+        with pytest.raises(QasmError, match="line 3: duplicate qreg"):
+            parse_qasm("qreg q[2];\nh q[0];\nqreg q[2];")
+
     def test_missing_header(self):
         with pytest.raises(QasmError):
             parse_qasm("cx q[0],q[1];")
 
     @pytest.mark.parametrize("stmt", ["rz(abc) q[0];", "u(1,2,) q[0];",
-                                      "h q[0]garbage;", "cx q[0] q[1];"])
+                                      "h q[0]garbage;", "cx q[0] q[1];",
+                                      "hq[0];", "rz(nan) q[0];", "rz(inf) q[0];",
+                                      "u(1e999,0,0) q[0];", "qreg q[99999999999];"])
     def test_malformed_statement_reports_line(self, stmt):
         with pytest.raises(QasmError) as exc:
             parse_qasm(f"qreg q[2];\nh q[1];\n{stmt}")
         assert exc.value.lineno == 3
+
+    def test_register_cap(self):
+        assert parse_qasm(f"qreg q[{MAX_QUBITS}];")[0].n_qubits == MAX_QUBITS
+        for size in (str(MAX_QUBITS + 1), "9" * 5000):  # the latter is too long for int()
+            with pytest.raises(QasmError, match="line 2: qreg size exceeds"):
+                parse_qasm(f"// header\nqreg q[{size}];")
 
     def test_junk_after_qreg(self):
         with pytest.raises(QasmError):
@@ -78,16 +95,16 @@ class TestRoundTrip:
         assert c2 == c and ini2 == ini and fin2 == fin
 
 
-# parse_qasm does not cap the qreg size yet, so brackets appear only in whole
-# tokens holding one digit and every register the fuzzer can write is small.
-_TOKENS = ["qreg q[3];", "qreg", "q[0]", "q[1]", "q[5]", "h", "x", "rz", "u",
-           "cx", "swap", "ccx", "(", ")", ",", ";", " ", "\t", "\n", "//",
-           "0.5", "-2", "1e3", "nan", "abc", "garbage", "\u0663", "\u00e9",
+_TOKENS = ["qreg q[3];", "qreg", "qreg q[", "]", "99999999999", "q[0]", "q[1]",
+           "q[5]", "h", "x", "rz", "u", "cx", "swap", "ccx", "(", ")", ",", ";",
+           " ", "\t", "\n", "//", "0.5", "-2", "1e3", "1e999", "nan", "inf", "abc",
+           "garbage", "\u0663", "\u00e9",
            "// initial: q[0] -> v[2]", "// final: q[1] -> v[0]"]
+_FUZZ_TEXT = st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join)
 
 
 @settings(max_examples=400)
-@given(st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join))
+@given(_FUZZ_TEXT)
 @example("qreg q[3];rz(abc) q[0];")
 @example("qreg q[3];u(1,2,) q[0];")
 def test_parse_raises_only_qasm_error(text):
@@ -95,3 +112,52 @@ def test_parse_raises_only_qasm_error(text):
         parse_qasm(text)
     except QasmError:
         pass
+
+
+_QREG_SIZE = re.compile(r"qreg\s+q\s*\[\s*(\d+)")
+
+
+def _outcome(parse, text):
+    """(result, error line): line inf when parse accepts the text."""
+    try:
+        return parse(text), math.inf
+    except QasmError as e:
+        return None, e.lineno
+
+
+@settings(max_examples=400)
+@given(_FUZZ_TEXT)
+@example("qreg q[3];\nrz(nan) q[0];\nccx q[0];")
+@example("qreg q[3];u(1e999,0,0) q[1];")
+@example("qreg q[3]; H q[0]; CX q[0] , q[ 2 ] ;;")
+def test_parse_matches_reference(text):
+    """The library rejects what the reference rejects, on the same line, and
+    parses what it accepts into the same result, except that it also rejects
+    non-finite parameters and registers over MAX_QUBITS."""
+    got, line = _outcome(parse_qasm, text)
+    if any(int(size) > MAX_QUBITS for size in _QREG_SIZE.findall(text)):
+        # The reference would build the whole register; check the cap alone.
+        assert got is None or got[0].n_qubits <= MAX_QUBITS
+        return
+    expected, ref_line = _outcome(reference_parse_qasm, text)
+    assert line <= ref_line
+    if line == math.inf:
+        assert got == expected
+    elif line < ref_line:
+        # Only the finite-parameter rule, which the reference lacks, can fire
+        # first: the reference accepts the text up to that line, with a
+        # non-finite parameter in it.
+        prefix, _, _ = reference_parse_qasm("\n".join(text.splitlines()[:line]))
+        assert not all(math.isfinite(p) for g in prefix.gates for p in g.params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_emit_and_parse_match_reference(n, n_layers, seed):
+    c = random_circuit(n, n_layers, seed=seed)  # np.float64 parameters
+    ini = {f"q[{i}]": (i * 7) % n for i in range(n)}
+    text = emit_qasm(c, ini, None)
+    assert text == reference_emit_qasm(c, ini, None)
+    parsed = parse_qasm(text)
+    assert parsed == reference_parse_qasm(text) == (c, ini, None)
+    assert emit_qasm(parsed[0]) == reference_emit_qasm(parsed[0])
