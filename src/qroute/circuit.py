@@ -121,15 +121,23 @@ def layers(circuit: Circuit) -> list[FrontLayer]:
     ready = [0] * circuit.n_qubits
     out: list[FrontLayer] = []
     for i, g in enumerate(circuit.gates):
-        level = max(ready[q] for q in g.qubits)
-        if level == len(out):
-            out.append(FrontLayer([], []))
-        fl = out[level]
-        fl.gates.append(i)
-        if g.is_two_qubit:
-            fl.two_qubit.append((i, (g.qubits[0], g.qubits[1])))
-        for q in g.qubits:
-            ready[q] = level + 1
+        qs = g.qubits
+        if len(qs) == 1:
+            a = qs[0]
+            level = ready[a]
+            if level == len(out):
+                out.append(FrontLayer([], []))
+            out[level].gates.append(i)
+            ready[a] = level + 1
+        else:
+            a, b = qs
+            level = ready[a] if ready[a] >= ready[b] else ready[b]
+            if level == len(out):
+                out.append(FrontLayer([], []))
+            fl = out[level]
+            fl.gates.append(i)
+            fl.two_qubit.append((i, (a, b)))
+            ready[a] = ready[b] = level + 1
     return out
 
 
@@ -154,17 +162,27 @@ class Metrics:
 
 def weighted_metrics(circuit: Circuit, weights: GateWeights = DEFAULT_WEIGHTS) -> Metrics:
     """Weighted size (sum of gate weights) and weighted depth (max-weight DAG
-    path, via per-qubit running maxima)."""
+    path, via per-qubit running maxima).
+
+    Each gate weighs what ``weights.of`` gives it, read here from the three
+    fields once per call.
+    """
+    one, cnot, swap = weights.one_qubit, weights.cnot, weights.swap
     size = 0
     depth = [0] * circuit.n_qubits
     counts: dict[str, int] = {}
     for g in circuit.gates:
-        w = weights.of(g)
-        size += w
-        reach = max(depth[q] for q in g.qubits) + w
-        for q in g.qubits:
-            depth[q] = reach
-        counts[g.name] = counts.get(g.name, 0) + 1
+        qs = g.qubits
+        name = g.name
+        counts[name] = counts.get(name, 0) + 1
+        if len(qs) == 1:
+            size += one
+            depth[qs[0]] += one
+        else:
+            w = swap if name == "swap" else cnot
+            size += w
+            a, b = qs
+            depth[a] = depth[b] = (depth[a] if depth[a] >= depth[b] else depth[b]) + w
     return Metrics(size, max(depth, default=0), counts)
 
 

@@ -73,14 +73,62 @@ class ArchitectureGraph:
     def distances(self) -> np.ndarray:
         """All-pairs hop distances as int64, cached.
 
-        Raises ValueError when the graph is disconnected.
+        Paths, complete graphs and hierarchical products (those with factors)
+        get closed forms built from their factors' matrices; other graphs get
+        one shortest-path call on the sparse adjacency.  A closed form is the
+        metric of the graph the kind and factors describe, so it is accepted
+        only when its pairs at distance 1 are exactly this graph's edges.
+
+        Raises ValueError when the graph is disconnected, or when its edges
+        are not those its kind describes.
         """
         if self._dist is None:
-            d = shortest_path(self._sparse_adjacency(), unweighted=True)
-            if np.isinf(d).any():
-                raise ValueError("distance matrix requires a connected graph")
-            self._dist = d.astype(np.int64)
+            d = self._closed_form_distances()
+            if d is None:
+                d = shortest_path(self._sparse_adjacency(), unweighted=True)
+                if np.isinf(d).any():
+                    raise ValueError("distance matrix requires a connected graph")
+                d = d.astype(np.int64)
+            else:
+                u, v = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
+                if np.count_nonzero(d == 1) != 2 * len(u) or not (d[u, v] == 1).all():
+                    raise ValueError(f"edges do not form the {self.kind} graph "
+                                     "its kind and factors describe")
+            self._dist = d
         return self._dist
+
+    def _closed_form_distances(self) -> np.ndarray | None:
+        """Hop distances from the kind and factors alone, or None for a generic graph.
+
+        In a hierarchical product, (i, j) and (i, j') are d2(j, j') apart.  A
+        path between copies i != i' crosses at some position k with
+        vec[k] = 1, so it has length d1(i, i') + min over such k of
+        d2(j, k) + d2(k, j').  That minimum is d2(j, j') when j or j' is such
+        a position (triangle inequality), so it is only taken over the rest.
+        """
+        g1, g2 = self.factor1, self.factor2
+        if g1 is not None and g2 is not None:
+            if self.vec is None or len(self.vec) != g2.n or g1.n * g2.n != self.n:
+                raise ValueError(f"factors and vec do not form a graph of {self.n} vertices")
+            d1, d2 = g1.distances(), g2.distances()
+            vec = np.array(self.vec, dtype=bool)
+            via = d2.copy()
+            if not vec.all():
+                to_k = d2[np.ix_(~vec, vec)]  # from each 0 position to each 1 position
+                best = to_k[:, 0, None] + to_k[:, 0]
+                for c in range(1, to_k.shape[1]):
+                    np.minimum(best, to_k[:, c, None] + to_k[:, c], out=best)
+                via[np.ix_(~vec, ~vec)] = best
+            d = d1[:, None, :, None] + via[None, :, None, :]
+            i = np.arange(g1.n)
+            d[i, :, i, :] = d2
+            return d.reshape(self.n, self.n)
+        if self.kind == "path":
+            r = np.arange(self.n, dtype=np.int64)
+            return np.abs(r[:, None] - r)
+        if self.kind == "complete":
+            return 1 - np.eye(self.n, dtype=np.int64)
+        return None
 
     def diameter(self) -> int:
         return int(self.distances().max())

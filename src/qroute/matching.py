@@ -7,6 +7,7 @@ matched edge set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
 
@@ -171,9 +172,10 @@ def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, in
     One assignment solve gives an optimum, and optimal duals recovered from
     it by Bellman-Ford mark the tight edges, those of zero reduced cost: the
     optimal matchings are exactly the perfect matchings of tight edges.  Rows
-    are then fixed in order.  A breadth-first search over tight edges of later
-    rows finds every column the row can take by rotating an alternating cycle,
-    and the row takes the smallest.  Reduced costs up to 1e-9 times
+    are then fixed in order.  A row that holds its smallest tight column
+    keeps it; otherwise a breadth-first search over tight edges of later rows
+    finds every column the row can take by rotating an alternating cycle, and
+    the row takes the smallest.  Reduced costs up to 1e-9 times
     max(1, largest |weight|) count as tight, so optima closer than that are
     ties.  Cost: one solve plus O(n^3).
     """
@@ -186,19 +188,28 @@ def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, in
     cols = _solve_assignment(cost)
     if cols is None:
         raise ValueError("no perfect matching exists")
-    tight = _tight_edges(cost, cols).tolist()
+    # The tight columns of each row and the tight rows of each column, ascending.
+    tight_cols: list[list[int]] = [[] for _ in range(n)]
+    tight_rows: list[list[int]] = [[] for _ in range(n)]
+    r_idx, c_idx = np.nonzero(_tight_edges(cost, cols))
+    for r, c in zip(r_idx.tolist(), c_idx.tolist()):
+        tight_cols[r].append(c)
+        tight_rows[c].append(r)
     for row in range(n):
-        best = tight[row].index(True)  # the smallest column worth reaching
+        best = tight_cols[row][0]  # the smallest column worth reaching
+        if cols[row] == best:
+            continue
         # via[c] = (r, x): row r can move to column x, freeing c for row.
         via: dict[int, tuple[int, int] | None] = {cols[row]: None}
         queue = deque(via)
         while queue and best not in via:
             x = queue.popleft()
-            for r in range(row + 1, n):
-                if tight[r][x] and cols[r] not in via:
+            rows = tight_rows[x]
+            for r in rows[bisect_right(rows, row):]:
+                if cols[r] not in via:
                     via[cols[r]] = (r, x)
                     queue.append(cols[r])
-        chosen = c = min(col for col in via if tight[row][col])
+        chosen = c = next(col for col in tight_cols[row] if col in via)
         while via[c] is not None:
             r, c = via[c]
             cols[r] = c

@@ -53,15 +53,19 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
     initial: dict[str, int] = {}
     final: dict[str, int] = {}
     circuit: Circuit | None = None
+    # Bound once the qreg header is read; append is None until then.
+    append = None
+    n_qubits = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "//" in line:
             m = _MAPPING.search(line)
             if m:
-                (initial if m.group(1) == "initial" else final)[m.group(2)] = int(m.group(3))
+                vertex = _index(m.group(3), lineno, "vertex")
+                (initial if m.group(1) == "initial" else final)[m.group(2)] = vertex
             line = line.split("//", 1)[0]
         # The usual line holds one gate statement and needs no ';' split.
-        if circuit is not None and (m := _GATE.fullmatch(line)):
-            circuit.gates.append(_gate(m, lineno, circuit.n_qubits))
+        if append is not None and (m := _GATE.fullmatch(line)):
+            append(_gate(m, lineno, n_qubits))
             continue
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
             if stmt.startswith("qreg"):
@@ -69,13 +73,14 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
                 if circuit is not None:
                     raise QasmError(lineno, "duplicate qreg")
                 circuit = Circuit([f"q[{i}]" for i in range(size)])
+                append, n_qubits = circuit.gates.append, size
                 continue
-            if circuit is None:
+            if append is None:
                 raise QasmError(lineno, "statement before qreg header")
             m = _GATE.fullmatch(stmt)
             if m is None:
-                _reject(stmt, lineno, circuit.n_qubits)
-            circuit.gates.append(_gate(m, lineno, circuit.n_qubits))
+                _reject(stmt, lineno, n_qubits)
+            append(_gate(m, lineno, n_qubits))
     if circuit is None:
         raise QasmError(0, "missing qreg header")
     return circuit, (initial or None), (final or None)
@@ -100,9 +105,9 @@ def _gate(m: re.Match, lineno: int, n_qubits: int) -> Gate:
     name = name.lower()
     try:
         params = tuple(map(float, raw_params.split(","))) if raw_params else ()
-    except ValueError:
+        qubits = (int(a),) if b is None else (int(a), int(b))
+    except ValueError:  # a bad float, or an index with more digits than int() converts
         _reject(m.group().strip(), lineno, n_qubits)
-    qubits = (int(a),) if b is None else (int(a), int(b))
     if (_GATE_ARITY.get(name) != (len(params), len(qubits))
             or max(qubits) >= n_qubits or (b is not None and qubits[0] == qubits[1])
             or not all(map(math.isfinite, params))):
@@ -134,7 +139,7 @@ def _reject(stmt: str, lineno: int, n_qubits: int) -> NoReturn:
         raise QasmError(lineno, f"bad qubit arguments {sm.group('args')!r}")
     if len(args) != n_args:
         raise QasmError(lineno, f"{name} expects {n_args} qubit arguments")
-    qubits = [int(a.group(1)) for a in args]
+    qubits = [_index(a.group(1), lineno, "qubit") for a in args]
     for q in qubits:
         if q >= n_qubits:
             raise QasmError(lineno, f"qubit index {q} out of range")
@@ -143,8 +148,11 @@ def _reject(stmt: str, lineno: int, n_qubits: int) -> NoReturn:
     raise QasmError(lineno, f"cannot parse {stmt!r}")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _index(digits: str, lineno: int, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise QasmError(lineno, f"{what} index of {len(digits)} digits is too long") from None
 
 
 def emit_qasm(circuit: Circuit, initial_map: dict[str, int] | None = None,
@@ -157,8 +165,9 @@ def emit_qasm(circuit: Circuit, initial_map: dict[str, int] | None = None,
     lines.append(f"qreg q[{circuit.n_qubits}];")
     names = [f"q[{i}]" for i in range(circuit.n_qubits)]
     for g in circuit.gates:
-        params = f"({','.join(map(_fmt, g.params))})" if g.params else ""
-        args = ",".join([names[q] for q in g.qubits])
+        qs = g.qubits
+        args = names[qs[0]] if len(qs) == 1 else f"{names[qs[0]]},{names[qs[1]]}"
+        params = f"({','.join(map(repr, map(float, g.params)))})" if g.params else ""
         lines.append(f"{g.name}{params} {args};")
     for q, v in (final_map or {}).items():
         lines.append(f"// final: {q} -> v[{v}]")

@@ -1,5 +1,6 @@
 """Circuit DAG semantics, layering, metrics, random generation."""
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -146,6 +147,15 @@ class TestWeightedMetrics:
                                            [w.of(g) for g in gates])
             assert m.weighted_depth == oracle
             assert m.weighted_depth <= m.weighted_size
+
+    @given(circuits(), st.builds(GateWeights, st.integers(0, 50), st.integers(0, 50),
+                                 st.integers(0, 50)))
+    def test_any_weights_match_oracle(self, c, w):
+        m = weighted_metrics(c, w)
+        assert m.weighted_depth == longest_weighted_path([g.qubits for g in c.gates],
+                                                         [w.of(g) for g in c.gates])
+        assert m.weighted_size == sum(w.of(g) for g in c.gates)
+        assert m.counts == Counter(g.name for g in c.gates)
 
 
 class TestRandomCircuit:

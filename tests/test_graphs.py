@@ -4,6 +4,7 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from qroute.graphs import (ArchitectureGraph, build_architecture, complete_graph,
                            grid_graph, hierarchical_product, induced_subgraph,
@@ -145,3 +146,36 @@ class TestInducedSubgraph:
     def test_grid_corner(self):
         sub, idx = induced_subgraph(grid_graph(2, 2), {0, 1, 2})
         assert sub.edges == {(0, 1), (0, 2)}  # a path of 3 vertices
+
+
+class TestClosedFormDistances:
+    """Distances of path, complete and product graphs come from closed forms."""
+
+    @pytest.mark.parametrize("g", [
+        grid_graph(32, 32), modular_graph(16, 16), path_graph(9), complete_graph(6),
+        # a generic first factor, and zeros in vec on both sides of its ones
+        hierarchical_product(ArchitectureGraph(4, {(0, 1), (1, 2), (1, 3)}), path_graph(6),
+                             (0, 1, 0, 0, 1, 0)),
+        hierarchical_product(complete_graph(3), ArchitectureGraph(5, {(0, 1), (1, 2), (2, 3),
+                                                                      (3, 4), (4, 0), (0, 2)}),
+                             (0, 0, 1, 0, 0)),
+    ], ids=repr)
+    def test_equal_csgraph(self, g):
+        expect = shortest_path(g._sparse_adjacency(), unweighted=True).astype(np.int64)
+        d = g.distances()
+        assert d.dtype == np.int64
+        assert np.array_equal(d, expect)
+
+    @pytest.mark.parametrize("g", [
+        ArchitectureGraph(3, {(0, 1)}, kind="path"),
+        ArchitectureGraph(3, {(0, 1), (1, 2)}, kind="complete"),
+        ArchitectureGraph(4, {(0, 1), (1, 2), (2, 3)}, kind="grid", factor1=path_graph(2),
+                          factor2=path_graph(2), vec=(1, 1)),
+        ArchitectureGraph(4, {(0, 1), (2, 3), (0, 2), (1, 3)}, kind="grid",
+                          factor1=path_graph(2), factor2=path_graph(2)),
+        ArchitectureGraph(4, {(0, 1), (2, 3), (0, 2), (1, 3)}, kind="grid",
+                          factor1=path_graph(2), factor2=path_graph(2), vec=(1,)),
+    ], ids=repr)
+    def test_edges_unlike_the_kind_rejected(self, g):
+        with pytest.raises(ValueError, match="do not form"):
+            g.distances()

@@ -5,9 +5,11 @@ Few rounds keep each one well under a second; run with
 """
 import random
 
+import numpy as np
 import pytest
 
-from qroute.circuit import random_circuit
+from qroute.circuit import GateWeights, layers, random_circuit, weighted_metrics
+from qroute.graphs import grid_graph
 from qroute.matching import WeightedBipartiteGraph, min_weight_perfect_matching
 from qroute.qasm import emit_qasm, parse_qasm
 
@@ -25,6 +27,25 @@ def test_parse_qasm(benchmark):
 def test_emit_qasm(benchmark):
     text = benchmark.pedantic(emit_qasm, (_CIRCUIT,), rounds=5, iterations=1)
     assert text == _TEXT
+
+
+def test_layers(benchmark):
+    got = benchmark.pedantic(layers, (_CIRCUIT,), rounds=20, iterations=1)
+    assert len(got) == weighted_metrics(_CIRCUIT, GateWeights(1, 1, 1)).weighted_depth
+
+
+def test_weighted_metrics(benchmark):
+    got = benchmark.pedantic(weighted_metrics, (_CIRCUIT,), rounds=20, iterations=1)
+    assert (got.weighted_size, got.weighted_depth) == (18240, 2040)
+
+
+def test_grid_distances(benchmark):
+    def fresh():
+        return (grid_graph(32, 32),), {}
+
+    got = benchmark.pedantic(lambda g: g.distances(), setup=fresh, rounds=5, iterations=1)
+    i, j = np.divmod(np.arange(32 * 32), 32)
+    assert np.array_equal(got, abs(i[:, None] - i) + abs(j[:, None] - j))
 
 
 @pytest.mark.parametrize("k", [8, 32])

@@ -2,6 +2,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -55,7 +56,11 @@ class TestParse:
     @pytest.mark.parametrize("stmt", ["rz(abc) q[0];", "u(1,2,) q[0];",
                                       "h q[0]garbage;", "cx q[0] q[1];",
                                       "hq[0];", "rz(nan) q[0];", "rz(inf) q[0];",
-                                      "u(1e999,0,0) q[0];", "qreg q[99999999999];"])
+                                      "u(1e999,0,0) q[0];", "qreg q[99999999999];",
+                                      pytest.param(f"cx q[0],q[{'9' * 5000}];",
+                                                   id="qubit index too long for int()"),
+                                      pytest.param(f"// initial: q[0] -> v[{'9' * 5000}]",
+                                                   id="vertex index too long for int()")])
     def test_malformed_statement_reports_line(self, stmt):
         with pytest.raises(QasmError) as exc:
             parse_qasm(f"qreg q[2];\nh q[1];\n{stmt}")
@@ -77,6 +82,11 @@ class TestParse:
                 "// final: q[0] -> v[1]\n")
         _, ini, fin = parse_qasm(text)
         assert ini == {"q[0]": 2} and fin == {"q[0]": 1}
+
+    def test_mapping_vertex_too_long_for_int(self):
+        text = f"qreg q[3];\nh q[0];\n// final: q[0] -> v[{'9' * 5000}]\n"
+        with pytest.raises(QasmError, match="line 3: vertex index of 5000 digits"):
+            parse_qasm(text)
 
 
 class TestRoundTrip:
@@ -152,9 +162,15 @@ def test_parse_matches_reference(text):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 12), st.integers(0, 4), st.integers(0, 2**32 - 1))
-def test_emit_and_parse_match_reference(n, n_layers, seed):
-    c = random_circuit(n, n_layers, seed=seed)  # np.float64 parameters
+@given(st.integers(2, 12), st.integers(0, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([np.float64, float, int, bool, np.float32, np.int64]))
+@example(5, 2, 1, int)
+@example(5, 2, 1, bool)
+@example(5, 2, 1, np.float32)
+@example(5, 2, 1, np.int64)
+def test_emit_and_parse_match_reference(n, n_layers, seed, param_type):
+    c = random_circuit(n, n_layers, seed=seed)  # np.float64 parameters, then retyped
+    c.gates = [Gate(g.name, g.qubits, tuple(map(param_type, g.params))) for g in c.gates]
     ini = {f"q[{i}]": (i * 7) % n for i in range(n)}
     text = emit_qasm(c, ini, None)
     assert text == reference_emit_qasm(c, ini, None)
