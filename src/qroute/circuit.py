@@ -10,9 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TWO_QUBIT_GATES = ("cx", "swap")
-KNOWN_GATES = ("u", "h", "x", "rz", "cx", "swap")
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -27,10 +24,6 @@ class Gate:
         if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"{self.name} acts twice on qubit {self.qubits[0]}")
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return len(self.qubits) == 2
-
 
 @dataclass(frozen=True)
 class GateWeights:
@@ -40,9 +33,9 @@ class GateWeights:
     swap: int = 30
 
     def of(self, gate: Gate) -> int:
-        if not gate.is_two_qubit:
-            return self.one_qubit
-        return self.swap if gate.name == "swap" else self.cnot
+        if len(gate.qubits) == 2:
+            return self.swap if gate.name == "swap" else self.cnot
+        return self.one_qubit
 
 
 DEFAULT_WEIGHTS = GateWeights()
@@ -88,35 +81,15 @@ class Circuit:
                 and self.gates == other.gates)
 
 
-def front_layer(circuit: Circuit, executed: set[int]) -> FrontLayer:
-    """First layer of the DAG after removing the executed gates.
-
-    ``executed`` must be dependency-closed.
-    """
-    blocked: set[int] = set()
-    layer: list[int] = []
-    two_q: list[tuple[int, tuple[int, int]]] = []
-    for i, g in enumerate(circuit.gates):
-        if i in executed:
-            continue
-        if any(q in blocked for q in g.qubits):
-            blocked.update(g.qubits)
-            continue
-        layer.append(i)
-        if g.is_two_qubit:
-            two_q.append((i, (g.qubits[0], g.qubits[1])))
-        blocked.update(g.qubits)
-    return FrontLayer(layer, two_q)
-
-
 def layers(circuit: Circuit) -> list[FrontLayer]:
     """Partition gates into layers; the count is the circuit depth.
 
     Each gate sits in the layer of its ASAP level: one past the deepest
     earlier gate sharing a qubit (per-qubit running max, as in
-    :func:`weighted_metrics`).  Layer ``k`` is therefore what
-    :func:`front_layer` returns once layers ``0..k-1`` are executed, with
-    its gates in ascending gate index.  One pass: O(gates + qubits).
+    :func:`weighted_metrics`).  Layer ``k`` is therefore the front layer,
+    the gates with no unexecuted predecessor, once layers ``0..k-1`` are
+    executed, with its gates in ascending gate index.  One pass:
+    O(gates + qubits).
     """
     ready = [0] * circuit.n_qubits
     out: list[FrontLayer] = []
@@ -146,10 +119,6 @@ class Metrics:
     weighted_size: int
     weighted_depth: int
     counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def one_qubit_count(self) -> int:
-        return sum(c for name, c in self.counts.items() if name not in TWO_QUBIT_GATES)
 
     @property
     def cnot_count(self) -> int:

@@ -130,9 +130,6 @@ class ArchitectureGraph:
             return 1 - np.eye(self.n, dtype=np.int64)
         return None
 
-    def diameter(self) -> int:
-        return int(self.distances().max())
-
     def shortest_path(self, s: int, t: int) -> list[int]:
         """BFS path from s to t; ties broken toward lowest-index predecessor."""
         if s == t:

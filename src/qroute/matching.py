@@ -1,4 +1,4 @@
-"""Matching algorithms: greedy maximal, Hopcroft-Karp, and min-weight perfect.
+"""Matching algorithms: greedy maximal and min-weight perfect bipartite.
 
 All routines are deterministic: edge iteration follows sorted order and ties
 in the assignment problem are broken toward the lexicographically smallest
@@ -23,16 +23,19 @@ _TRIPLE = np.dtype([("l", np.float64), ("r", np.float64), ("w", np.float64)])
 
 
 class WeightedBipartiteGraph:
-    """Bipartite multigraph with real edge weights.
+    """Bipartite multigraph with real edge weights, held as a cost matrix.
 
-    Edges are (left, right, weight) triples; parallel edges are allowed.  They
-    are kept as three arrays in input order: ``left`` and ``right`` (intp)
-    and ``weight`` (float64).  Endpoints must be integers in range and
-    weights finite; a ValueError names the first edge that is not.
+    Edges are (left, right, weight) triples; parallel edges are allowed.
+    ``cost`` is a float64 array of shape (n_left, n_right) whose entry
+    [l, r] is the cheapest weight of an edge from l to r, or inf where
+    there is none.  Side counts must be non-negative, endpoints integers in
+    range and weights finite; a ValueError names the first edge that is not.
     """
 
     def __init__(self, n_left: int, n_right: int,
                  edges: Sequence[tuple[int, int, float]] = ()):
+        if n_left < 0 or n_right < 0:
+            raise ValueError(f"negative side count: n_left={n_left}, n_right={n_right}")
         self.n_left = n_left
         self.n_right = n_right
         edges = edges or ()
@@ -50,16 +53,9 @@ class WeightedBipartiteGraph:
             if outside[i]:
                 raise ValueError(f"edge ({l}, {r}) out of range")
             raise ValueError(f"edge weight {w} is not finite")
-        self.left = left.astype(np.intp)
-        self.right = right.astype(np.intp)
-        self.weight = weight.copy()
-
-    def support(self) -> dict[int, list[int]]:
-        """Distinct (left -> sorted rights) adjacency, ignoring weights."""
-        adj: dict[int, set[int]] = {}
-        for l, r in zip(self.left.tolist(), self.right.tolist()):
-            adj.setdefault(l, set()).add(r)
-        return {l: sorted(rs) for l, rs in adj.items()}
+        self.cost = np.full((n_left, n_right), INF)
+        # Of parallel edges, the cheapest is kept.
+        np.minimum.at(self.cost, (left.astype(np.intp), right.astype(np.intp)), weight)
 
 
 def maximal_matching(g: ArchitectureGraph, excluded: set[int] | None = None) -> list[Edge]:
@@ -75,56 +71,6 @@ def maximal_matching(g: ArchitectureGraph, excluded: set[int] | None = None) -> 
         used.add(u)
         used.add(v)
     return matching
-
-
-def max_bipartite_matching(b: WeightedBipartiteGraph) -> list[tuple[int, int]]:
-    """Maximum-cardinality matching via Hopcroft-Karp (weights ignored)."""
-    adj = b.support()
-    lefts = sorted(adj)
-    match_l: dict[int, int] = {}
-    match_r: dict[int, int] = {}
-    dist: dict[int, int] = {}
-    UNSEEN = -1
-
-    def bfs() -> bool:
-        queue = deque()
-        for l in lefts:
-            dist[l] = UNSEEN if l in match_l else 0
-            if l not in match_l:
-                queue.append(l)
-        found = False
-        while queue:
-            l = queue.popleft()
-            for r in adj[l]:
-                lp = match_r.get(r)
-                if lp is None:
-                    found = True
-                elif dist[lp] == UNSEEN:
-                    dist[lp] = dist[l] + 1
-                    queue.append(lp)
-        return found
-
-    def dfs(l: int) -> bool:
-        for r in adj[l]:
-            lp = match_r.get(r)
-            if lp is None or (dist[lp] == dist[l] + 1 and dfs(lp)):
-                match_l[l] = r
-                match_r[r] = l
-                return True
-        dist[l] = UNSEEN
-        return False
-
-    while bfs():
-        for l in lefts:
-            if l not in match_l:
-                dfs(l)
-    return sorted(match_l.items())
-
-
-def _cost_matrix(b: WeightedBipartiteGraph) -> np.ndarray:
-    cost = np.full((b.n_left, b.n_right), INF)
-    np.minimum.at(cost, (b.left, b.right), b.weight)  # parallel edges: cheapest
-    return cost
 
 
 def _solve_assignment(cost: np.ndarray) -> list[int] | None:
@@ -184,7 +130,7 @@ def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, in
     n = b.n_left
     if n == 0:
         return []
-    cost = _cost_matrix(b)
+    cost = b.cost
     cols = _solve_assignment(cost)
     if cols is None:
         raise ValueError("no perfect matching exists")

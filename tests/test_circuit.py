@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from qroute.circuit import (Circuit, Gate, GateWeights, front_layer, layers,
+from qroute.circuit import (Circuit, FrontLayer, Gate, GateWeights, layers,
                             random_circuit, weighted_metrics)
 
 from oracles import longest_weighted_path
@@ -20,6 +20,24 @@ def circ(n, gates):
 
 def cx(a, b):
     return Gate("cx", (a, b))
+
+
+def front_layer(circuit, executed):
+    """Reference front layer: the gates left with no unexecuted predecessor,
+    by one scan in gate order.  ``executed`` must be dependency-closed."""
+    blocked = set()
+    layer, two_q = [], []
+    for i, g in enumerate(circuit.gates):
+        if i in executed:
+            continue
+        if any(q in blocked for q in g.qubits):
+            blocked.update(g.qubits)
+            continue
+        layer.append(i)
+        if len(g.qubits) == 2:
+            two_q.append((i, (g.qubits[0], g.qubits[1])))
+        blocked.update(g.qubits)
+    return FrontLayer(layer, two_q)
 
 
 def rescan_layers(c):

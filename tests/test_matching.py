@@ -8,10 +8,10 @@ from scipy.optimize import linear_sum_assignment
 
 from qroute import matching
 from qroute.graphs import complete_graph, path_graph, grid_graph
-from qroute.matching import (WeightedBipartiteGraph, max_bipartite_matching,
-                             maximal_matching, min_weight_perfect_matching)
+from qroute.matching import (WeightedBipartiteGraph, maximal_matching,
+                             min_weight_perfect_matching)
 
-from oracles import brute_max_bipartite, brute_min_weight_pm, refix_min_weight_pm
+from oracles import brute_min_weight_pm, refix_min_weight_pm
 
 
 class TestMaximalMatching:
@@ -38,46 +38,33 @@ class TestMaximalMatching:
                 assert u in used or v in used
 
 
-class TestMaxBipartite:
-    def test_complete_3x3(self):
-        b = WeightedBipartiteGraph(3, 3, [(l, r, 1.0) for l in range(3) for r in range(3)])
-        assert len(max_bipartite_matching(b)) == 3
-
-    def test_star(self):
-        b = WeightedBipartiteGraph(1, 4, [(0, r, 1.0) for r in range(4)])
-        assert len(max_bipartite_matching(b)) == 1
-
-    def test_random_against_brute_force(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            nl, nr = rng.randint(1, 5), rng.randint(1, 5)
-            pairs = {(l, r) for l in range(nl) for r in range(nr) if rng.random() < 0.4}
-            b = WeightedBipartiteGraph(nl, nr, [(l, r, 1.0) for l, r in pairs])
-            m = max_bipartite_matching(b)
-            assert len({l for l, _ in m}) == len(m)
-            assert len({r for _, r in m}) == len(m)
-            assert all(p in pairs for p in m)
-            assert len(m) == brute_max_bipartite(nl, nr, pairs)
-
-
 class TestWeightedBipartiteGraph:
-    def test_arrays_in_input_order(self):
-        b = WeightedBipartiteGraph(2, 3, [(1, 2, 0.5), (0, 0, 3), (1, 2, -1)])
-        assert b.left.dtype == b.right.dtype == np.intp and b.weight.dtype == np.float64
-        assert b.left.tolist() == [1, 0, 1] and b.right.tolist() == [2, 0, 2]
-        assert b.weight.tolist() == [0.5, 3.0, -1.0]
-        assert b.support() == {1: [2], 0: [0]}
-
     def test_empty(self):
-        for b in (WeightedBipartiteGraph(2, 2), WeightedBipartiteGraph(2, 2, [])):
-            assert len(b.left) == len(b.right) == len(b.weight) == 0
-            assert b.support() == {} and max_bipartite_matching(b) == []
+        for b in (WeightedBipartiteGraph(2, 3), WeightedBipartiteGraph(2, 3, [])):
+            assert b.cost.dtype == np.float64
+            assert b.cost.tolist() == [[math.inf] * 3] * 2
         assert min_weight_perfect_matching(WeightedBipartiteGraph(0, 0, [])) == []
 
     def test_parallel_edges_keep_cheapest(self):
         b = WeightedBipartiteGraph(2, 2, [(0, 1, 4.0), (0, 1, -2.0), (0, 1, 7.0),
                                           (1, 0, 1.0)])
-        assert matching._cost_matrix(b).tolist() == [[math.inf, -2.0], [1.0, math.inf]]
+        assert b.cost.tolist() == [[math.inf, -2.0], [1.0, math.inf]]
+
+    @pytest.mark.parametrize("n_left,n_right", [(-1, 2), (2, -1), (-3, -3)])
+    def test_negative_side_count(self, n_left, n_right):
+        with pytest.raises(ValueError, match=f"n_left={n_left}, n_right={n_right}"):
+            WeightedBipartiteGraph(n_left, n_right)
+
+    # Each triple is decoded whole: read as one flat run of numbers, the
+    # 4-tuple case would pass as the valid triples (0, 0, 1) and (1, 1, 1).
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1.0), (1, 0)],
+        [(0, 0, 1.0, 1.0), (1, 1, 1.0)],
+        [(0, 0, 1.0), (1, 1, "heavy")],
+    ], ids=["2-tuple", "4-tuple", "non-numeric-weight"])
+    def test_malformed_triple(self, edges):
+        with pytest.raises(ValueError):
+            WeightedBipartiteGraph(2, 2, edges)
 
     @pytest.mark.parametrize("edges,message", [
         ([(0, 0, 1.0), (2, 0, 1.0), (0, 5, math.nan)], r"edge \(2, 0\) out of range"),

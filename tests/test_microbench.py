@@ -48,11 +48,22 @@ def test_grid_distances(benchmark):
     assert np.array_equal(got, abs(i[:, None] - i) + abs(j[:, None] - j))
 
 
-@pytest.mark.parametrize("k", [8, 32])
-def test_min_weight_perfect_matching(benchmark, k):
+def _placement(k):
+    """A k x k placement-shaped cost with grid-like spread, and its triples."""
     rng = random.Random(k)
     cost = [[rng.randint(0, 60) for _ in range(k)] for _ in range(k)]
-    edges = [(l, r, w) for l, row in enumerate(cost) for r, w in enumerate(row)]
+    return cost, [(l, r, w) for l, row in enumerate(cost) for r, w in enumerate(row)]
+
+
+def test_weighted_bipartite_graph_build(benchmark):
+    cost, edges = _placement(32)
+    got = benchmark.pedantic(WeightedBipartiteGraph, (32, 32, edges), rounds=20, iterations=1)
+    assert np.array_equal(got.cost, cost)
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_min_weight_perfect_matching(benchmark, k):
+    cost, edges = _placement(k)
 
     def place():
         return min_weight_perfect_matching(WeightedBipartiteGraph(k, k, edges))
