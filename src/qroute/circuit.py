@@ -2,27 +2,47 @@
 
 Qubits are named by strings at the interface; gates store dense qubit
 indices.  The dependency DAG follows list order restricted to shared qubits.
+A gate is an immutable 3-tuple ``(name, qubits, params)``: a tuple subclass
+whose fields are read by unpacking or by name.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Gate:
+class _GateFields(NamedTuple):
     name: str
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if not 1 <= len(self.qubits) <= 2:
-            raise ValueError(f"{self.name} acts on {len(self.qubits)} qubits; "
-                             "gates act on one or two")
-        if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
-            raise ValueError(f"{self.name} acts twice on qubit {self.qubits[0]}")
+
+class Gate(_GateFields):
+    """A gate on one or two distinct qubits: the tuple ``(name, qubits, params)``.
+
+    The field order is part of the interface: ``for name, qs, params in
+    circuit.gates`` reads every field of every gate.  A loop that needs one or
+    two fields reads them by name instead: CPython unpacks only exact tuples
+    on its fast path, so unpacking a subclass costs more than two attribute
+    reads.  Gates are immutable, hashable and compare as the tuples they are.
+    ``Gate(...)``, ``_make``, ``_replace``, ``copy`` and ``pickle`` all go
+    through the checks in ``__new__``.
+    """
+    __slots__ = ()
+
+    def __new__(cls, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()):
+        if not 1 <= len(qubits) <= 2:
+            raise ValueError(f"{name} acts on {len(qubits)} qubits; gates act on one or two")
+        if len(qubits) == 2 and qubits[0] == qubits[1]:
+            raise ValueError(f"{name} acts twice on qubit {qubits[0]}")
+        return tuple.__new__(cls, (name, qubits, params))
+
+    @classmethod
+    def _make(cls, iterable) -> Gate:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -45,7 +65,8 @@ DEFAULT_WEIGHTS = GateWeights()
 class FrontLayer:
     """Gates with no unexecuted predecessors.
 
-    ``two_qubit`` lists (gate index, (q1, q2)) for the two-qubit members.
+    ``two_qubit`` lists (gate index, (q1, q2)) for the two-qubit members; the
+    pair is the gate's own ``qubits`` tuple.
     """
     gates: list[int]
     two_qubit: list[tuple[int, tuple[int, int]]]
@@ -109,7 +130,7 @@ def layers(circuit: Circuit) -> list[FrontLayer]:
                 out.append(FrontLayer([], []))
             fl = out[level]
             fl.gates.append(i)
-            fl.two_qubit.append((i, (a, b)))
+            fl.two_qubit.append((i, qs))
             ready[a] = ready[b] = level + 1
     return out
 

@@ -13,6 +13,10 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 Edge = tuple[int, int]
 
+# distances() builds an n x n int64 matrix only up to this many vertices
+# (4096 vertices: 128 MiB).
+MAX_DIST_VERTICES = 4096
+
 
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -79,10 +83,14 @@ class ArchitectureGraph:
         metric of the graph the kind and factors describe, so it is accepted
         only when its pairs at distance 1 are exactly this graph's edges.
 
-        Raises ValueError when the graph is disconnected, or when its edges
-        are not those its kind describes.
+        Raises ValueError when the graph is disconnected, when its edges
+        are not those its kind describes, or when it has more than
+        ``MAX_DIST_VERTICES`` vertices.
         """
         if self._dist is None:
+            if self.n > MAX_DIST_VERTICES:
+                raise ValueError(f"distance matrix of {self.n} vertices exceeds the cap of "
+                                 f"{MAX_DIST_VERTICES} vertices")
             d = self._closed_form_distances()
             if d is None:
                 d = shortest_path(self._sparse_adjacency(), unweighted=True)

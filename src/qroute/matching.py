@@ -28,8 +28,9 @@ class WeightedBipartiteGraph:
     Edges are (left, right, weight) triples; parallel edges are allowed.
     ``cost`` is a float64 array of shape (n_left, n_right) whose entry
     [l, r] is the cheapest weight of an edge from l to r, or inf where
-    there is none.  Side counts must be non-negative, endpoints integers in
-    range and weights finite; a ValueError names the first edge that is not.
+    there is none.  Each edge must be a 3-item sequence, side counts
+    non-negative, endpoints integers in range and weights finite; a
+    ValueError names the first edge that is not.
     """
 
     def __init__(self, n_left: int, n_right: int,
@@ -44,15 +45,22 @@ class WeightedBipartiteGraph:
         fractional = (left != np.floor(left)) | (right != np.floor(right))
         outside = ~((0 <= left) & (left < n_left) & (0 <= right) & (right < n_right))
         infinite = ~np.isfinite(weight)
-        bad = fractional | outside | infinite
-        if bad.any():
-            i = int(bad.argmax())
-            l, r, w = edges[i]
-            if fractional[i]:
-                raise ValueError(f"edge ({l}, {r}) has a non-integer endpoint")
-            if outside[i]:
-                raise ValueError(f"edge ({l}, {r}) out of range")
-            raise ValueError(f"edge weight {w} is not finite")
+        # The decode reads a bare number x as the triple (x, x, x), so rows of
+        # that form are unpacked too; a valid list has few.
+        suspect = fractional | outside | infinite | ((left == right) & (right == weight))
+        if suspect.any():
+            for i in np.flatnonzero(suspect).tolist():
+                try:
+                    l, r, w = edges[i]
+                except (TypeError, ValueError):
+                    raise ValueError(f"edge {edges[i]!r} is not a (left, right, weight) "
+                                     "triple") from None
+                if fractional[i]:
+                    raise ValueError(f"edge ({l}, {r}) has a non-integer endpoint")
+                if outside[i]:
+                    raise ValueError(f"edge ({l}, {r}) out of range")
+                if infinite[i]:
+                    raise ValueError(f"edge weight {w} is not finite")
         self.cost = np.full((n_left, n_right), INF)
         # Of parallel edges, the cheapest is kept.
         np.minimum.at(self.cost, (left.astype(np.intp), right.astype(np.intp)), weight)

@@ -3,6 +3,9 @@
 Grammar: a ``qreg q[N];`` header, then statements ``u(f,f,f) q[i];``,
 ``h q[i];``, ``x q[i];``, ``rz(f) q[i];``, ``cx q[i],q[j];``,
 ``swap q[i],q[j];``.  ``//`` comments are ignored; whitespace is free-form.
+The OpenQASM 2 lines ``OPENQASM 2.0;`` and ``include "qelib1.inc";`` are
+skipped wherever they stand; ``creg``, ``measure``, ``barrier`` and ``reset``
+are rejected as unsupported statements.
 The register holds at most ``MAX_QUBITS`` qubits, and gate parameters must be
 finite (``nan``, ``inf`` and literals that overflow to infinity are rejected).
 Emitted circuits can carry initial/final qubit-to-vertex mapping comments,
@@ -20,6 +23,8 @@ from .circuit import Circuit, Gate
 MAX_QUBITS = 1 << 16
 
 _QREG = re.compile(r"qreg\s+q\s*\[\s*(\d+)\s*\]")
+# The OpenQASM 2 version and include statements, which are skipped.
+_HEADER = re.compile(r'OPENQASM\s+2\.0|include\s+"qelib1\.inc"')
 # One gate statement, optionally closed by its ';': the name, the parameter
 # text and one or two qubit indices.  The name is the whole run of letters, so
 # ``hq[0]`` cannot split into ``h q[0]`` (a possessive ``++`` would need
@@ -36,6 +41,8 @@ _MAPPING = re.compile(r"//\s*(initial|final):\s*(\S+)\s*->\s*v\[(\d+)\]")
 
 _GATE_ARITY = {"u": (3, 1), "h": (0, 1), "x": (0, 1), "rz": (1, 1),
                "cx": (0, 2), "swap": (0, 2)}
+# OpenQASM 2 statements outside the subset, named as such when they appear.
+_UNSUPPORTED = frozenset({"creg", "measure", "barrier", "reset"})
 
 
 class QasmError(ValueError):
@@ -53,9 +60,9 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
     initial: dict[str, int] = {}
     final: dict[str, int] = {}
     circuit: Circuit | None = None
-    # Bound once the qreg header is read; append is None until then.
+    # Bound once the qreg header is read; both are None until then.
     append = None
-    n_qubits = 0
+    n_qubits: int | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "//" in line:
             m = _MAPPING.search(line)
@@ -75,10 +82,9 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
                 circuit = Circuit([f"q[{i}]" for i in range(size)])
                 append, n_qubits = circuit.gates.append, size
                 continue
-            if append is None:
-                raise QasmError(lineno, "statement before qreg header")
-            m = _GATE.fullmatch(stmt)
-            if m is None:
+            if _HEADER.fullmatch(stmt):
+                continue
+            if append is None or (m := _GATE.fullmatch(stmt)) is None:
                 _reject(stmt, lineno, n_qubits)
             append(_gate(m, lineno, n_qubits))
     if circuit is None:
@@ -105,23 +111,37 @@ def _gate(m: re.Match, lineno: int, n_qubits: int) -> Gate:
     name = name.lower()
     try:
         params = tuple(map(float, raw_params.split(","))) if raw_params else ()
-        qubits = (int(a),) if b is None else (int(a), int(b))
+        if b is None:
+            qa = int(a)
+            qubits = (qa,)
+            ok = qa < n_qubits
+        else:
+            qa, qb = int(a), int(b)
+            qubits = (qa, qb)
+            ok = qa < n_qubits and qb < n_qubits and qa != qb
     except ValueError:  # a bad float, or an index with more digits than int() converts
         _reject(m.group().strip(), lineno, n_qubits)
-    if (_GATE_ARITY.get(name) != (len(params), len(qubits))
-            or max(qubits) >= n_qubits or (b is not None and qubits[0] == qubits[1])
-            or not all(map(math.isfinite, params))):
+    if (not ok or _GATE_ARITY.get(name) != (len(params), len(qubits))
+            or (params and not all(map(math.isfinite, params)))):
         _reject(m.group().strip(), lineno, n_qubits)
-    return Gate(name, qubits, params)
+    # The checks above include Gate's own, so the tuple is built without them.
+    return tuple.__new__(Gate, (name, qubits, params))
 
 
-def _reject(stmt: str, lineno: int, n_qubits: int) -> NoReturn:
-    """Raise the QasmError that names what is wrong with a gate statement."""
+def _reject(stmt: str, lineno: int, n_qubits: int | None) -> NoReturn:
+    """Raise the QasmError that names what is wrong with a statement.
+
+    ``n_qubits`` is None before the qreg header.
+    """
     stmt = stmt.removesuffix(";").rstrip()
     sm = _STMT.match(stmt)
+    name = sm.group("name").lower() if sm else None
+    if name in _UNSUPPORTED:
+        raise QasmError(lineno, f"unsupported statement {name!r}")
+    if n_qubits is None:
+        raise QasmError(lineno, "statement before qreg header")
     if not sm:
         raise QasmError(lineno, f"cannot parse {stmt!r}")
-    name = sm.group("name").lower()
     if name not in _GATE_ARITY:
         raise QasmError(lineno, f"unknown gate {name!r}")
     n_params, n_args = _GATE_ARITY[name]
@@ -164,11 +184,15 @@ def emit_qasm(circuit: Circuit, initial_map: dict[str, int] | None = None,
         lines.append(f"// initial: {q} -> v[{v}]")
     lines.append(f"qreg q[{circuit.n_qubits}];")
     names = [f"q[{i}]" for i in range(circuit.n_qubits)]
-    for g in circuit.gates:
-        qs = g.qubits
+    for name, qs, params in circuit.gates:
         args = names[qs[0]] if len(qs) == 1 else f"{names[qs[0]]},{names[qs[1]]}"
-        params = f"({','.join(map(repr, map(float, g.params)))})" if g.params else ""
-        lines.append(f"{g.name}{params} {args};")
+        if not params:
+            lines.append(f"{name} {args};")
+        elif len(params) == 3:
+            p0, p1, p2 = params
+            lines.append(f"{name}({float(p0)!r},{float(p1)!r},{float(p2)!r}) {args};")
+        else:
+            lines.append(f"{name}({','.join(map(repr, map(float, params)))}) {args};")
     for q, v in (final_map or {}).items():
         lines.append(f"// final: {q} -> v[{v}]")
     return "\n".join(lines) + "\n"

@@ -225,6 +225,10 @@ _REF_ARG = re.compile(r"q\s*\[\s*(\d+)\s*\]")
 _REF_MAPPING = re.compile(r"//\s*(initial|final):\s*(\S+)\s*->\s*v\[(\d+)\]")
 _REF_ARITY = {"u": (3, 1), "h": (0, 1), "x": (0, 1), "rz": (1, 1),
               "cx": (0, 2), "swap": (0, 2)}
+# OpenQASM 2: the version and include lines are skipped, as word lists; these
+# statements are refused wherever they stand.
+_REF_HEADER_WORDS = (["OPENQASM", "2.0"], ["include", '"qelib1.inc"'])
+_REF_UNSUPPORTED = ("creg", "measure", "barrier", "reset")
 
 
 def reference_parse_qasm(text: str):
@@ -251,9 +255,13 @@ def reference_parse_qasm(text: str):
                     raise QasmError(lineno, "duplicate qreg")
                 circuit = Circuit([f"q[{i}]" for i in range(int(qm.group(1)))])
                 continue
+            if stmt.split() in _REF_HEADER_WORDS:
+                continue
+            sm = _REF_STMT.match(stmt)
+            if sm and sm.group("name").lower() in _REF_UNSUPPORTED:
+                raise QasmError(lineno, "unsupported statement")
             if circuit is None:
                 raise QasmError(lineno, "statement before qreg header")
-            sm = _REF_STMT.match(stmt)
             if not sm:
                 raise QasmError(lineno, f"cannot parse {stmt!r}")
             name = sm.group("name").lower()

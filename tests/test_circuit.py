@@ -1,4 +1,6 @@
 """Circuit DAG semantics, layering, metrics, random generation."""
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -71,6 +73,45 @@ class TestGate:
     def test_rejects_repeated_qubit(self, qubits):
         with pytest.raises(ValueError):
             Gate("cx", qubits)
+
+    def test_unpacks_in_field_order(self):
+        name, qubits, params = Gate("u", (2,), (0.5, 1.0, 1.5))
+        assert (name, qubits, params) == ("u", (2,), (0.5, 1.0, 1.5))
+        assert Gate._fields == ("name", "qubits", "params")
+        assert tuple(Gate("cx", (0, 1))) == ("cx", (0, 1), ())
+
+    def test_fields_cannot_be_assigned(self):
+        g = Gate("h", (0,))
+        with pytest.raises(AttributeError):
+            g.qubits = (1,)
+        with pytest.raises(AttributeError):
+            g.extra = 1
+
+    def test_equal_fields_give_equal_gates_and_hashes(self):
+        a, b = Gate("rz", (1,), (0.25,)), Gate("rz", (1,), (0.25,))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Gate("rz", (1,), (0.5,)) and a != Gate("rz", (0,), (0.25,))
+
+    def test_repr(self):
+        assert repr(Gate("cx", (0, 1))) == "Gate(name='cx', qubits=(0, 1), params=())"
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda g: pickle.loads(pickle.dumps(g))])
+    def test_copy_and_pickle_round_trip(self, clone):
+        g = Gate("u", (3,), (0.5, 1.0, 1.5))
+        again = clone(g)
+        assert again == g and type(again) is Gate
+
+    def test_every_constructor_path_checks(self):
+        data = pickle.dumps(Gate("cx", (0, 1)), protocol=pickle.HIGHEST_PROTOCOL)
+        forged = data.replace(b"K\x00K\x01\x86", b"K\x01K\x01\x86")  # qubits (1, 1)
+        assert forged != data
+        with pytest.raises(ValueError, match="acts twice on qubit 1"):
+            pickle.loads(forged)
+        with pytest.raises(ValueError, match="acts on 3 qubits"):
+            Gate("cx", (0, 1))._replace(qubits=(0, 1, 2))
+        with pytest.raises(ValueError, match="acts on 0 qubits"):
+            Gate._make(("h", ()))
 
 
 class TestFrontLayer:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from qroute.graphs import (ArchitectureGraph, build_architecture, complete_graph,
-                           grid_graph, hierarchical_product, induced_subgraph,
-                           modular_graph, parse_hier_file, path_graph)
+from qroute.graphs import (MAX_DIST_VERTICES, ArchitectureGraph, build_architecture,
+                           complete_graph, grid_graph, hierarchical_product,
+                           induced_subgraph, modular_graph, parse_hier_file, path_graph)
 
 from oracles import connected_small_graphs
 
@@ -127,6 +127,15 @@ class TestDistances:
         assert not g.is_connected()
         with pytest.raises(ValueError):
             g.distances()
+
+    @pytest.mark.parametrize("graph", [
+        path_graph,
+        lambda n: ArchitectureGraph(n, {(i, i + 1) for i in range(n - 1)}),
+    ], ids=["closed form", "csgraph"])
+    def test_matrix_over_the_cap_rejected(self, graph):
+        n = MAX_DIST_VERTICES + 1
+        with pytest.raises(ValueError, match=f"distance matrix of {n} vertices exceeds"):
+            graph(n).distances()
 
     def test_shortest_path_prefers_low_index(self):
         g = grid_graph(2, 2)

@@ -61,7 +61,12 @@ class TestWeightedBipartiteGraph:
         [(0, 1, 1.0), (1, 0)],
         [(0, 0, 1.0, 1.0), (1, 1, 1.0)],
         [(0, 0, 1.0), (1, 1, "heavy")],
-    ], ids=["2-tuple", "4-tuple", "non-numeric-weight"])
+        [5],
+        [(0, 0, 1.0), 1],
+        [(0, 0, 1.0), np.float64(1.0)],
+        [math.nan],
+    ], ids=["2-tuple", "4-tuple", "non-numeric-weight", "bare-number", "bare-number-after-edge",
+            "bare-numpy-scalar", "bare-nan"])
     def test_malformed_triple(self, edges):
         with pytest.raises(ValueError):
             WeightedBipartiteGraph(2, 2, edges)

@@ -53,7 +53,7 @@ class TestParse:
         with pytest.raises(QasmError):
             parse_qasm("cx q[0],q[1];")
 
-    @pytest.mark.parametrize("stmt", ["rz(abc) q[0];", "u(1,2,) q[0];",
+    @pytest.mark.parametrize("stmt", ["h q[2];", "rz(abc) q[0];", "u(1,2,) q[0];",
                                       "h q[0]garbage;", "cx q[0] q[1];",
                                       "hq[0];", "rz(nan) q[0];", "rz(inf) q[0];",
                                       "u(1e999,0,0) q[0];", "qreg q[99999999999];",
@@ -71,6 +71,21 @@ class TestParse:
         for size in (str(MAX_QUBITS + 1), "9" * 5000):  # the latter is too long for int()
             with pytest.raises(QasmError, match="line 2: qreg size exceeds"):
                 parse_qasm(f"// header\nqreg q[{size}];")
+
+    def test_openqasm2_header_lines_are_skipped(self):
+        text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                'cx q[0],q[1]; include  "qelib1.inc";')
+        assert parse_qasm(text)[0].gates == [Gate("cx", (0, 1))]
+
+    @pytest.mark.parametrize("stmt", ["creg c[2];", "measure q[0] -> c[0];",
+                                      "barrier q[0],q[1];", "reset q[0];", "h q[0]; reset q[1];"])
+    def test_unsupported_statement_reports_line(self, stmt):
+        with pytest.raises(QasmError, match=r"line 3: unsupported statement"):
+            parse_qasm(f"qreg q[2];\nh q[1];\n{stmt}")
+
+    def test_unsupported_statement_before_header(self):
+        with pytest.raises(QasmError, match=r"line 2: unsupported statement 'creg'"):
+            parse_qasm("OPENQASM 2.0;\ncreg c[2];\nqreg q[2];")
 
     def test_junk_after_qreg(self):
         with pytest.raises(QasmError):
@@ -109,7 +124,9 @@ _TOKENS = ["qreg q[3];", "qreg", "qreg q[", "]", "99999999999", "q[0]", "q[1]",
            "q[5]", "h", "x", "rz", "u", "cx", "swap", "ccx", "(", ")", ",", ";",
            " ", "\t", "\n", "//", "0.5", "-2", "1e3", "1e999", "nan", "inf", "abc",
            "garbage", "\u0663", "\u00e9",
-           "// initial: q[0] -> v[2]", "// final: q[1] -> v[0]"]
+           "// initial: q[0] -> v[2]", "// final: q[1] -> v[0]",
+           "OPENQASM 2.0;", 'include "qelib1.inc";', "OPENQASM", "2.0", "include",
+           '"qelib1.inc"', "creg c[2];", "creg", "measure", "barrier", "reset", "->", "c[0]"]
 _FUZZ_TEXT = st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join)
 
 
@@ -140,6 +157,9 @@ def _outcome(parse, text):
 @example("qreg q[3];\nrz(nan) q[0];\nccx q[0];")
 @example("qreg q[3];u(1e999,0,0) q[1];")
 @example("qreg q[3]; H q[0]; CX q[0] , q[ 2 ] ;;")
+@example('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nh q[0];')
+@example("qreg q[3];\nh q[0];\nmeasure q[0] -> c[0];")
+@example("creg c[2];\nqreg q[3];")
 def test_parse_matches_reference(text):
     """The library rejects what the reference rejects, on the same line, and
     parses what it accepts into the same result, except that it also rejects
