@@ -5,7 +5,7 @@ graphs and connection vector; the product vertex (i, j) flattens to i*n2 + j.
 """
 from __future__ import annotations
 
-from collections import deque
+from operator import index
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -39,6 +39,10 @@ class ArchitectureGraph:
         self.n = n
         self.edges: set[Edge] = set()
         for u, v in edges:
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise ValueError(f"edge ({u}, {v}) has a non-integer endpoint") from None
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -48,12 +52,6 @@ class ArchitectureGraph:
         self.factor1 = factor1
         self.factor2 = factor2
         self.vec = vec
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(self.edges):
-            self.adj[u].append(v)
-            self.adj[v].append(u)
-        for nbrs in self.adj:
-            nbrs.sort()
         self._dist: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -66,10 +64,10 @@ class ArchitectureGraph:
         return sorted(self.edges)
 
     def _sparse_adjacency(self) -> csr_matrix:
-        """CSR form of adj; symmetric, as adj lists each edge from both ends."""
-        indices = np.array([v for nbrs in self.adj for v in nbrs], dtype=np.int64)
-        indptr = np.cumsum([0] + [len(nbrs) for nbrs in self.adj])
-        return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(self.n, self.n))
+        """Symmetric CSR adjacency: each edge is entered from both ends."""
+        u, v = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
+        return csr_matrix((np.ones(2 * len(u)), (np.concatenate([u, v]), np.concatenate([v, u]))),
+                          shape=(self.n, self.n))
 
     def is_connected(self) -> bool:
         return connected_components(self._sparse_adjacency())[0] <= 1
@@ -98,8 +96,8 @@ class ArchitectureGraph:
                     raise ValueError("distance matrix requires a connected graph")
                 d = d.astype(np.int64)
             else:
-                u, v = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
-                if np.count_nonzero(d == 1) != 2 * len(u) or not (d[u, v] == 1).all():
+                adj = self._sparse_adjacency()
+                if np.count_nonzero(d == 1) != adj.nnz or not (d[adj.nonzero()] == 1).all():
                     raise ValueError(f"edges do not form the {self.kind} graph "
                                      "its kind and factors describe")
             self._dist = d
@@ -139,23 +137,19 @@ class ArchitectureGraph:
         return None
 
     def shortest_path(self, s: int, t: int) -> list[int]:
-        """BFS path from s to t; ties broken toward lowest-index predecessor."""
-        if s == t:
-            return [s]
-        pred: dict[int, int] = {s: s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:  # adj sorted -> lowest-index predecessor wins
-                if v not in pred:
-                    pred[v] = u
-                    if v == t:
-                        path = [t]
-                        while path[-1] != s:
-                            path.append(pred[path[-1]])
-                        return path[::-1]
-                    queue.append(v)
-        raise ValueError(f"no path from {s} to {t}")
+        """Lexicographically smallest shortest path from s to t: each step goes
+        to the lowest-index neighbour one hop closer to t.
+
+        Reads :meth:`distances`, so it raises the same ValueError when the
+        graph is disconnected (even if s and t share a component) or has
+        more than ``MAX_DIST_VERTICES`` vertices.
+        """
+        d = self.distances()
+        path = [s]
+        while path[-1] != t:
+            u = path[-1]
+            path.append(int(np.flatnonzero((d[u] == 1) & (d[t] == d[u, t] - 1))[0]))
+        return path
 
 
 def path_graph(n: int) -> ArchitectureGraph:
@@ -247,36 +241,36 @@ def parse_hier_file(text: str) -> ArchitectureGraph:
         v  <0/1> ...    connection vector, n2 entries
         e1 <u> <v>      edge of the first factor
         e2 <u> <v>      edge of the second factor
+
+    n1, n2 and v must each appear exactly once.
     """
-    n1 = n2 = None
-    vec: tuple[int, ...] | None = None
-    e1: set[Edge] = set()
-    e2: set[Edge] = set()
+    arity = {"n1": 1, "n2": 1, "v": None, "e1": 2, "e2": 2}  # None: any count
+    once: dict[str, tuple[int, ...]] = {}
+    edges: dict[str, set[Edge]] = {"e1": set(), "e2": set()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        key, *args = line.split()
         try:
-            if parts[0] == "n1":
-                n1 = int(parts[1])
-            elif parts[0] == "n2":
-                n2 = int(parts[1])
-            elif parts[0] == "v":
-                vec = tuple(int(x) for x in parts[1:])
-            elif parts[0] == "e1":
-                e1.add(_norm_edge(int(parts[1]), int(parts[2])))
-            elif parts[0] == "e2":
-                e2.add(_norm_edge(int(parts[1]), int(parts[2])))
+            if key not in arity:
+                raise ValueError(f"unknown directive {key!r}")
+            if arity[key] is not None and len(args) != arity[key]:
+                raise ValueError(f"{key} takes {arity[key]} value(s), got {len(args)}")
+            values = tuple(int(x) for x in args)
+            if key in edges:
+                edges[key].add(_norm_edge(*values))
+            elif key in once:
+                raise ValueError(f"{key} given twice")
             else:
-                raise ValueError(f"unknown directive {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
+                once[key] = values
+        except ValueError as exc:
             raise ValueError(f"hier file line {lineno}: {exc}") from exc
-    if n1 is None or n2 is None or vec is None:
+    if once.keys() != {"n1", "n2", "v"}:
         raise ValueError("hier file must define n1, n2 and v")
-    g1 = _detect_factor(n1, e1)
-    g2 = _detect_factor(n2, e2)
-    return hierarchical_product(g1, g2, vec)
+    (n1,), (n2,), vec = once["n1"], once["n2"], once["v"]
+    return hierarchical_product(_detect_factor(n1, edges["e1"]),
+                                _detect_factor(n2, edges["e2"]), vec)
 
 
 def _detect_factor(n: int, edges: set[Edge]) -> ArchitectureGraph:

@@ -6,7 +6,6 @@ matched edge set.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
@@ -16,7 +15,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .graphs import ArchitectureGraph, Edge
 
-INF = math.inf
 # Endpoints are read as floats so that a fractional one can be rejected
 # rather than truncated.
 _TRIPLE = np.dtype([("l", np.float64), ("r", np.float64), ("w", np.float64)])
@@ -61,38 +59,22 @@ class WeightedBipartiteGraph:
                     raise ValueError(f"edge ({l}, {r}) out of range")
                 if infinite[i]:
                     raise ValueError(f"edge weight {w} is not finite")
-        self.cost = np.full((n_left, n_right), INF)
+        self.cost = np.full((n_left, n_right), np.inf)
         # Of parallel edges, the cheapest is kept.
         np.minimum.at(self.cost, (left.astype(np.intp), right.astype(np.intp)), weight)
 
 
-def maximal_matching(g: ArchitectureGraph, excluded: set[int] | None = None) -> list[Edge]:
-    """Greedy maximal matching over lexicographically sorted edges,
-    skipping edges that touch an excluded vertex."""
-    excluded = excluded or set()
+def maximal_matching(g: ArchitectureGraph) -> list[Edge]:
+    """Greedy maximal matching over lexicographically sorted edges."""
     used: set[int] = set()
     matching: list[Edge] = []
     for u, v in g.sorted_edges():
-        if u in excluded or v in excluded or u in used or v in used:
+        if u in used or v in used:
             continue
         matching.append((u, v))
         used.add(u)
         used.add(v)
     return matching
-
-
-def _solve_assignment(cost: np.ndarray) -> list[int] | None:
-    """Min-cost perfect assignment on a square matrix with inf = forbidden.
-
-    Returns the column of each row, or None when no perfect matching exists.
-    """
-    n = cost.shape[0]
-    finite = np.isfinite(cost)
-    big = (abs(cost[finite]).max() if finite.any() else 1.0) * n + 1.0
-    rows, cols = linear_sum_assignment(np.where(finite, cost, big * 2))
-    if not finite[rows, cols].all():
-        return None
-    return cols.tolist()  # rows come back as 0..n-1
 
 
 def _tight_edges(cost: np.ndarray, cols: list[int]) -> np.ndarray:
@@ -119,9 +101,10 @@ def _tight_edges(cost: np.ndarray, cols: list[int]) -> np.ndarray:
 def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, int]]:
     """Minimum-weight perfect matching on a bipartite (multi)graph.
 
-    Negative weights are permitted.  Among equal-weight optima the
-    lexicographically smallest edge set is returned.  Raises ValueError when
-    no perfect matching exists.
+    Negative weights are permitted; an inf entry of ``b.cost`` is a forbidden
+    edge.  Among equal-weight optima the lexicographically smallest edge set
+    is returned.  Raises ValueError when no perfect matching exists, which
+    scipy's assignment solver detects itself.
 
     One assignment solve gives an optimum, and optimal duals recovered from
     it by Bellman-Ford mark the tight edges, those of zero reduced cost: the
@@ -139,9 +122,11 @@ def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, in
     if n == 0:
         return []
     cost = b.cost
-    cols = _solve_assignment(cost)
-    if cols is None:
-        raise ValueError("no perfect matching exists")
+    try:
+        # Entries are finite or inf, so infeasibility is scipy's only ValueError.
+        cols = linear_sum_assignment(cost)[1].tolist()  # rows come back as 0..n-1
+    except ValueError:
+        raise ValueError("no perfect matching exists") from None
     # The tight columns of each row and the tight rows of each column, ascending.
     tight_cols: list[list[int]] = [[] for _ in range(n)]
     tight_rows: list[list[int]] = [[] for _ in range(n)]

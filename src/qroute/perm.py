@@ -20,15 +20,18 @@ class PartialPermutation:
         self.forward: list[int | None] = list(forward) if forward is not None else [None] * n
         if len(self.forward) != n:
             raise ValueError(f"forward has length {len(self.forward)}, expected {n}")
-        seen = set()
+        seen = bytearray(n)  # indexed by target, so a non-integer one raises TypeError
         for t in self.forward:
             if t is None:
                 continue
-            if not (0 <= t < n):
-                raise ValueError(f"target {t} out of range [0, {n})")
-            if t in seen:
-                raise ValueError(f"target {t} repeated; mapping is not injective")
-            seen.add(t)
+            try:
+                if not (0 <= t < n):
+                    raise ValueError(f"target {t} out of range [0, {n})")
+                if seen[t]:
+                    raise ValueError(f"target {t} repeated; mapping is not injective")
+            except TypeError:
+                raise ValueError(f"target {t!r} is not an integer") from None
+            seen[t] = 1
 
     @classmethod
     def identity(cls, n: int) -> "PartialPermutation":
@@ -38,9 +41,12 @@ class PartialPermutation:
     def from_mapping(cls, n: int, mapping: dict[int, int]) -> "PartialPermutation":
         fwd: list[int | None] = [None] * n
         for s, t in mapping.items():
-            if not (0 <= s < n):
-                raise ValueError(f"source {s} out of range [0, {n})")
-            fwd[s] = t
+            try:
+                if not (0 <= s < n):
+                    raise ValueError(f"source {s} out of range [0, {n})")
+                fwd[s] = t  # a list index, so a non-integer source raises TypeError
+            except TypeError:
+                raise ValueError(f"source {s!r} is not an integer") from None
         return cls(n, fwd)
 
     def copy(self) -> "PartialPermutation":

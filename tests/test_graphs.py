@@ -62,6 +62,29 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_architecture("ring:5")
 
+    @pytest.mark.parametrize("text,message", [
+        ("n1 2\nn2 2\nv 1 1\ne1 0 1 7\ne2 0 1\n", r"line 4: e1 takes 2 value\(s\), got 3"),
+        ("n1 2\nn2 2\nv 1 1\ne1 0 1\ne2 0\n", r"line 5: e2 takes 2 value\(s\), got 1"),
+        ("n1 2 junk\nn2 2\nv 1 1\ne1 0 1\ne2 0 1\n", r"line 1: n1 takes 1 value\(s\), got 2"),
+        ("n1 2\nn2\nv 1 1\ne1 0 1\ne2 0 1\n", r"line 2: n2 takes 1 value\(s\), got 0"),
+        ("n1 2\nn2 2\nn1 3\nv 1 1\ne1 0 1\ne2 0 1\n", "line 3: n1 given twice"),
+        ("n1 2\nn2 2\nv 1 1\ne1 0 1\nn2 2\ne2 0 1\n", "line 5: n2 given twice"),
+        ("n1 2\nn2 2\nv 1 1\ne1 0 1\ne2 0 1\nv 1 0\n", "line 6: v given twice"),
+    ], ids=["e1-extra-token", "e2-missing-token", "n1-extra-token", "n2-missing-value",
+            "n1-repeated", "n2-repeated", "v-repeated"])
+    def test_hier_file_rejects_bad_arity_and_repeats(self, text, message):
+        with pytest.raises(ValueError, match=f"hier file {message}"):
+            parse_hier_file(text)
+
+    @pytest.mark.parametrize("edge", [(0, 1.5), (0.0, 1)])
+    def test_non_integer_endpoint_rejected(self, edge):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) has a non-integer"):
+            ArchitectureGraph(3, {edge})
+
+    def test_numpy_integer_endpoints_accepted(self):
+        g = ArchitectureGraph(3, {(np.int64(0), np.int32(1)), (2, np.int16(1))})
+        assert g.edges == {(0, 1), (1, 2)} and g.distances()[0, 2] == 2
+
     def test_hier_file(self):
         text = """
         # two rungs
@@ -140,6 +163,22 @@ class TestDistances:
     def test_shortest_path_prefers_low_index(self):
         g = grid_graph(2, 2)
         assert g.shortest_path(0, 3) == [0, 1, 3]
+
+    def test_shortest_path_is_lex_smallest_shortest_path(self):
+        for n, edges in connected_small_graphs(6):
+            g = ArchitectureGraph(n, set(edges))
+            h = nx.Graph(edges)
+            for s, t in itertools.product(range(n), repeat=2):
+                assert g.shortest_path(s, t) == min(nx.all_shortest_paths(h, s, t)), (edges, s, t)
+
+    def test_shortest_path_to_itself(self):
+        assert grid_graph(3, 3).shortest_path(4, 4) == [4]
+
+    @pytest.mark.parametrize("s,t", [(0, 1), (0, 2)], ids=["same component", "across"])
+    def test_shortest_path_on_disconnected_graph_rejected(self, s, t):
+        g = ArchitectureGraph(3, {(0, 1)})
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            g.shortest_path(s, t)
 
 
 class TestInducedSubgraph:

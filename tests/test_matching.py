@@ -21,20 +21,14 @@ class TestMaximalMatching:
     def test_complete_perfect(self):
         assert len(maximal_matching(complete_graph(4))) == 2
 
-    def test_exclusion_empties_result(self):
-        assert maximal_matching(path_graph(3), excluded={1}) == []
-
     def test_maximality(self):
         rng = random.Random(7)
         for _ in range(50):
             g = grid_graph(rng.randint(2, 4), rng.randint(2, 4))
-            excluded = {v for v in range(g.n) if rng.random() < 0.3}
-            m = maximal_matching(g, excluded)
+            m = maximal_matching(g)
             used = {v for e in m for v in e}
             assert len(used) == 2 * len(m)  # vertex-disjoint
             for u, v in g.edges:            # no augmenting edge remains
-                if u in excluded or v in excluded:
-                    continue
                 assert u in used or v in used
 
 
@@ -95,7 +89,14 @@ class TestMinWeightPerfect:
 
     def test_no_perfect_matching(self):
         b = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no perfect matching exists"):
+            min_weight_perfect_matching(b)
+
+    def test_hall_violation_with_finite_entry_in_every_row(self):
+        # Rows 0 and 1 reach only column 0; row 2 reaches every column.
+        b = WeightedBipartiteGraph(3, 3, [(0, 0, 1e18), (1, 0, -3.0), (2, 0, 0.0),
+                                          (2, 1, 2.0), (2, 2, 5.0)])
+        with pytest.raises(ValueError, match="no perfect matching exists"):
             min_weight_perfect_matching(b)
 
     def test_side_mismatch(self):
@@ -123,7 +124,7 @@ class TestMinWeightPerfect:
             b = WeightedBipartiteGraph(n, n, edges)
             expect = brute_min_weight_pm(cost)
             if expect is None:
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="no perfect matching exists"):
                     min_weight_perfect_matching(b)
                 continue
             got = min_weight_perfect_matching(b)
@@ -149,7 +150,7 @@ class TestMinWeightPerfect:
                                               if math.isfinite(w)])
             expect = refix_min_weight_pm(cost)
             if expect is None:
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="no perfect matching exists"):
                     min_weight_perfect_matching(b)
                 continue
             assert [r for _, r in min_weight_perfect_matching(b)] == expect

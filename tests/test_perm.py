@@ -1,4 +1,5 @@
 """Partial permutation algebra."""
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +30,29 @@ class TestConstruction:
     def test_rejects_duplicate_target(self):
         with pytest.raises(ValueError):
             PartialPermutation(3, [1, 1, None])
+
+    @pytest.mark.parametrize("forward,message", [
+        ([1.5, None, None], "target 1.5 is not an integer"),
+        ([1.0, 0, 2], "target 1.0 is not an integer"),
+        (["1", None, None], "target '1' is not an integer"),
+    ], ids=["fractional", "integral-float", "string"])
+    def test_rejects_non_integer_target(self, forward, message):
+        with pytest.raises(ValueError, match=message):
+            PartialPermutation(3, forward)
+
+    @pytest.mark.parametrize("mapping,message", [
+        ({1.5: 0}, "source 1.5 is not an integer"),
+        ({0: 1, 2.0: 0}, "source 2.0 is not an integer"),
+        ({0: 0.5}, "target 0.5 is not an integer"),
+    ], ids=["fractional-source", "integral-float-source", "fractional-target"])
+    def test_from_mapping_rejects_non_integers(self, mapping, message):
+        with pytest.raises(ValueError, match=message):
+            PartialPermutation.from_mapping(3, mapping)
+
+    def test_accepts_numpy_integers(self):
+        p = PartialPermutation(3, [np.int64(2), np.int32(0), None])
+        assert p.forward == [2, 0, None]
+        assert pp(3, {np.int64(1): np.int16(2)}).forward == [None, 2, None]
 
     def test_dom_image_sizes_match(self):
         p = pp(5, {0: 3, 2: 1})
