@@ -28,6 +28,9 @@ class Gate(_GateFields):
     two fields reads them by name instead: CPython unpacks only exact tuples
     on its fast path, so unpacking a subclass costs more than two attribute
     reads.  Gates are immutable, hashable and compare as the tuples they are.
+    Equal gates may be one object: a circuit the library builds holds one
+    ``qubits`` tuple per distinct operand list and one ``Gate`` per distinct
+    parameterless gate, so compare gates with ``==``, never with ``is``.
     ``Gate(...)``, ``_make``, ``_replace``, ``copy`` and ``pickle`` all go
     through the checks in ``__new__``.
     """
@@ -61,7 +64,7 @@ class GateWeights:
 DEFAULT_WEIGHTS = GateWeights()
 
 
-@dataclass
+@dataclass(slots=True)
 class FrontLayer:
     """Gates with no unexecuted predecessors.
 
@@ -179,24 +182,29 @@ def weighted_metrics(circuit: Circuit, weights: GateWeights = DEFAULT_WEIGHTS) -
 def random_circuit(n_qubits: int, n_layers: int = 20, seed: int | None = None) -> Circuit:
     """Random benchmark circuit: per layer, qubits are binned into uniformly
     random pairs and each pair receives a 3-CNOT two-qubit block with random
-    angles (one qubit idles when the count is odd)."""
+    angles (one qubit idles when the count is odd).
+
+    Angles are Python floats.  The ``u`` gates on a qubit share one ``(q,)``
+    tuple, and a block's three CNOTs are one ``Gate`` object.
+    """
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
     rng = np.random.default_rng(seed)
     circ = Circuit([f"q[{i}]" for i in range(n_qubits)])
+    singles = [(q,) for q in range(n_qubits)]
 
     def u(q: int) -> Gate:
-        theta, phi, lam = rng.uniform(0.0, 2 * math.pi, size=3)
-        return Gate("u", (q,), (theta, phi, lam))
+        return Gate("u", singles[q], tuple(rng.uniform(0.0, 2 * math.pi, size=3).tolist()))
 
     for _ in range(n_layers):
         order = [int(x) for x in rng.permutation(n_qubits)]
         for k in range(n_qubits // 2):
             a, b = order[2 * k], order[2 * k + 1]
+            cx = Gate("cx", (a, b))
             circ.append(u(a))
             circ.append(u(b))
             for _ in range(3):
-                circ.append(Gate("cx", (a, b)))
+                circ.append(cx)
                 circ.append(u(a))
                 circ.append(u(b))
     return circ

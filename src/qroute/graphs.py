@@ -34,6 +34,10 @@ class ArchitectureGraph:
                  factor1: "ArchitectureGraph | None" = None,
                  factor2: "ArchitectureGraph | None" = None,
                  vec: tuple[int, ...] | None = None):
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"vertex count {n!r} is not an integer") from None
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
@@ -242,7 +246,7 @@ def parse_hier_file(text: str) -> ArchitectureGraph:
         e1 <u> <v>      edge of the first factor
         e2 <u> <v>      edge of the second factor
 
-    n1, n2 and v must each appear exactly once.
+    n1, n2 and v must each appear exactly once; n1 and n2 are at least 1.
     """
     arity = {"n1": 1, "n2": 1, "v": None, "e1": 2, "e2": 2}  # None: any count
     once: dict[str, tuple[int, ...]] = {}
@@ -262,6 +266,8 @@ def parse_hier_file(text: str) -> ArchitectureGraph:
                 edges[key].add(_norm_edge(*values))
             elif key in once:
                 raise ValueError(f"{key} given twice")
+            elif key in ("n1", "n2") and values[0] < 1:
+                raise ValueError(f"{key} is {values[0]}; a factor needs at least one vertex")
             else:
                 once[key] = values
         except ValueError as exc:

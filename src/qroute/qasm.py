@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from typing import NoReturn
 
 from .circuit import Circuit, Gate
@@ -55,8 +56,12 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
     """Parse the subset; returns (circuit, initial_map, final_map).
 
     The mappings are None unless the text carries ``// initial:`` /
-    ``// final:`` comment lines.
+    ``// final:`` comment lines.  The circuit holds one ``qubits`` tuple per
+    distinct operand list and one ``Gate`` per distinct parameterless gate.
     """
+    # Maps each accepted operand tuple and parameterless gate to its first
+    # instance; it lives for this call only.
+    share = {}.setdefault
     initial: dict[str, int] = {}
     final: dict[str, int] = {}
     circuit: Circuit | None = None
@@ -72,7 +77,7 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
             line = line.split("//", 1)[0]
         # The usual line holds one gate statement and needs no ';' split.
         if append is not None and (m := _GATE.fullmatch(line)):
-            append(_gate(m, lineno, n_qubits))
+            append(_gate(m, lineno, n_qubits, share))
             continue
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
             if stmt.startswith("qreg"):
@@ -86,7 +91,7 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
                 continue
             if append is None or (m := _GATE.fullmatch(stmt)) is None:
                 _reject(stmt, lineno, n_qubits)
-            append(_gate(m, lineno, n_qubits))
+            append(_gate(m, lineno, n_qubits, share))
     if circuit is None:
         raise QasmError(0, "missing qreg header")
     return circuit, (initial or None), (final or None)
@@ -105,8 +110,13 @@ def _qreg_size(stmt: str, lineno: int) -> int:
     return size
 
 
-def _gate(m: re.Match, lineno: int, n_qubits: int) -> Gate:
-    """The gate a _GATE match denotes, once every check has passed."""
+def _gate(m: re.Match, lineno: int, n_qubits: int,
+          share: Callable[[tuple, tuple], tuple]) -> Gate:
+    """The gate a _GATE match denotes, once every check has passed.
+
+    ``share`` is the ``setdefault`` of the caller's table: it returns the
+    first instance of an equal operand tuple or parameterless gate.
+    """
     name, raw_params, a, b = m.groups()
     name = name.lower()
     try:
@@ -125,7 +135,8 @@ def _gate(m: re.Match, lineno: int, n_qubits: int) -> Gate:
             or (params and not all(map(math.isfinite, params)))):
         _reject(m.group().strip(), lineno, n_qubits)
     # The checks above include Gate's own, so the tuple is built without them.
-    return tuple.__new__(Gate, (name, qubits, params))
+    g = tuple.__new__(Gate, (name, share(qubits, qubits), params))
+    return g if params else share(g, g)
 
 
 def _reject(stmt: str, lineno: int, n_qubits: int | None) -> NoReturn:

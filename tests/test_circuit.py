@@ -134,6 +134,12 @@ class TestFrontLayer:
         c = circ(3, [cx(0, 1), cx(1, 2)])
         assert front_layer(c, {0}).gates == [1]
 
+    def test_layers_carry_no_instance_dict(self):
+        fl = layers(circ(2, [cx(0, 1)]))[0]
+        assert not hasattr(fl, "__dict__")
+        with pytest.raises(AttributeError):
+            fl.extra = 1
+
 
 class TestLayers:
     def test_chain(self):
@@ -237,6 +243,16 @@ class TestRandomCircuit:
         c = random_circuit(6, n_layers=20, seed=9)
         depth = len(layers(c))
         assert 20 * 4 <= depth <= 20 * 7
+
+    def test_angles_are_python_floats(self):
+        c = random_circuit(16, 60, seed=0)
+        assert {type(p) for g in c.gates for p in g.params} == {float}
+
+    def test_operands_and_cnots_are_shared(self):
+        c = random_circuit(4, n_layers=2, seed=0)
+        assert len({id(g.qubits) for g in c.gates if len(g.qubits) == 1}) == 4
+        cnots = [g for g in c.gates if g.name == "cx"]
+        assert len(cnots) == 12 and len({id(g) for g in cnots}) == 4
 
     def test_too_few_qubits(self):
         with pytest.raises(ValueError):

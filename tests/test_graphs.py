@@ -70,8 +70,11 @@ class TestBuilders:
         ("n1 2\nn2 2\nn1 3\nv 1 1\ne1 0 1\ne2 0 1\n", "line 3: n1 given twice"),
         ("n1 2\nn2 2\nv 1 1\ne1 0 1\nn2 2\ne2 0 1\n", "line 5: n2 given twice"),
         ("n1 2\nn2 2\nv 1 1\ne1 0 1\ne2 0 1\nv 1 0\n", "line 6: v given twice"),
+        ("n1 0\nn2 2\nv 1 1\ne2 0 1\n", "line 1: n1 is 0; a factor needs at least one vertex"),
+        ("n1 2\nn2 0\nv\ne1 0 1\n", "line 2: n2 is 0; a factor needs at least one vertex"),
+        ("n1 -1\nn2 2\nv 1 1\ne2 0 1\n", "line 1: n1 is -1; a factor needs"),
     ], ids=["e1-extra-token", "e2-missing-token", "n1-extra-token", "n2-missing-value",
-            "n1-repeated", "n2-repeated", "v-repeated"])
+            "n1-repeated", "n2-repeated", "v-repeated", "n1-zero", "n2-zero", "n1-negative"])
     def test_hier_file_rejects_bad_arity_and_repeats(self, text, message):
         with pytest.raises(ValueError, match=f"hier file {message}"):
             parse_hier_file(text)
@@ -80,6 +83,15 @@ class TestBuilders:
     def test_non_integer_endpoint_rejected(self, edge):
         with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) has a non-integer"):
             ArchitectureGraph(3, {edge})
+
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_non_integer_vertex_count_rejected(self, n):
+        with pytest.raises(ValueError, match=f"vertex count {n!r} is not an integer"):
+            ArchitectureGraph(n, {(0, 1), (1, 2)})
+
+    def test_numpy_integer_vertex_count_accepted(self):
+        g = ArchitectureGraph(np.int64(3), {(0, 1), (1, 2)})
+        assert g.n == 3 and type(g.n) is int and g.distances()[0, 2] == 2
 
     def test_numpy_integer_endpoints_accepted(self):
         g = ArchitectureGraph(3, {(np.int64(0), np.int32(1)), (2, np.int16(1))})

@@ -1,5 +1,7 @@
 """QASM subset round-tripping and error reporting."""
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -120,6 +122,59 @@ class TestRoundTrip:
         assert c2 == c and ini2 == ini and fin2 == fin
 
 
+class TestSharing:
+    """Equal operand tuples and parameterless gates are one object per parse."""
+
+    def test_repeated_parameterless_gate_is_one_object(self):
+        c, _, _ = parse_qasm("qreg q[3];\ncx q[0],q[1];\nh q[2];\ncx q[0], q[1];\nCX q[0],q[1];")
+        a, _, b, d = c.gates
+        assert a is b is d and a == Gate("cx", (0, 1))
+        assert c.gates[1] is not a
+
+    def test_gates_on_one_qubit_share_the_operand_tuple(self):
+        c, _, _ = parse_qasm("qreg q[2];\nh q[0];\nu(0.5,1,1.5) q[0];\nrz(2) q[0];\nh q[1];")
+        h, u, rz, h1 = c.gates
+        assert h.qubits is u.qubits is rz.qubits and h.qubits == (0,)
+        assert h1.qubits == (1,) and h1 is not h
+
+    def test_gates_with_parameters_stay_distinct(self):
+        c, _, _ = parse_qasm("qreg q[1];\nrz(0.5) q[0];\nrz(0.5) q[0];")
+        a, b = c.gates
+        assert a == b and a is not b and a.qubits is b.qubits
+
+    def test_each_parse_has_its_own_table(self):
+        text = "qreg q[2];\ncx q[0],q[1];"
+        first, second = parse_qasm(text)[0].gates[0], parse_qasm(text)[0].gates[0]
+        assert first == second and first is not second and first.qubits is not second.qubits
+
+    @pytest.mark.parametrize("stmt,message", [
+        ("cx q[0],q[5];", "line 4: qubit index 5 out of range"),
+        ("cx q[1],q[1];", "line 4: cx operands must differ"),
+        ("cx(0.5) q[0],q[1];", "line 4: cx expects 0 parameters"),
+        ("h q[0],q[1];", "line 4: h expects 1 qubit arguments"),
+        ("rz(nan) q[0];", "line 4: parameters 'nan' are not finite"),
+    ])
+    def test_rejects_after_shared_gates_as_before(self, stmt, message):
+        text = f"qreg q[2];\ncx q[0],q[1];\nh q[0];\n{stmt}\ncx q[0],q[1];"
+        with pytest.raises(QasmError, match=re.escape(message)) as exc:
+            parse_qasm(text)
+        assert exc.value.lineno == 4
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda c: pickle.loads(pickle.dumps(c))])
+    def test_circuit_with_shared_gates_round_trips(self, clone):
+        c, _, _ = parse_qasm(emit_qasm(random_circuit(6, n_layers=3, seed=2)))
+        again = clone(c)
+        assert again == c and all(type(g) is Gate for g in again.gates)
+        assert emit_qasm(again) == emit_qasm(c)
+
+    def test_generated_and_parsed_gates_print_alike(self):
+        c = random_circuit(16, 60, seed=0)
+        parsed, _, _ = parse_qasm(emit_qasm(c))
+        assert parsed == c
+        assert [repr(g) for g in c.gates] == [repr(g) for g in parsed.gates]
+
+
 _TOKENS = ["qreg q[3];", "qreg", "qreg q[", "]", "99999999999", "q[0]", "q[1]",
            "q[5]", "h", "x", "rz", "u", "cx", "swap", "ccx", "(", ")", ",", ";",
            " ", "\t", "\n", "//", "0.5", "-2", "1e3", "1e999", "nan", "inf", "abc",
@@ -189,7 +244,7 @@ def test_parse_matches_reference(text):
 @example(5, 2, 1, np.float32)
 @example(5, 2, 1, np.int64)
 def test_emit_and_parse_match_reference(n, n_layers, seed, param_type):
-    c = random_circuit(n, n_layers, seed=seed)  # np.float64 parameters, then retyped
+    c = random_circuit(n, n_layers, seed=seed)  # float parameters, then retyped
     c.gates = [Gate(g.name, g.qubits, tuple(map(param_type, g.params))) for g in c.gates]
     ini = {f"q[{i}]": (i * 7) % n for i in range(n)}
     text = emit_qasm(c, ini, None)
