@@ -21,7 +21,7 @@ class _GateFields(NamedTuple):
 
 
 class Gate(_GateFields):
-    """A gate on one or two distinct qubits: the tuple ``(name, qubits, params)``.
+    """A gate on one or two distinct integer qubits: the tuple ``(name, qubits, params)``.
 
     The field order is part of the interface: ``for name, qs, params in
     circuit.gates`` reads every field of every gate.  A loop that needs one or
@@ -39,6 +39,9 @@ class Gate(_GateFields):
     def __new__(cls, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()):
         if not 1 <= len(qubits) <= 2:
             raise ValueError(f"{name} acts on {len(qubits)} qubits; gates act on one or two")
+        for q in qubits:  # what operator.index accepts, except bool
+            if isinstance(q, bool) or not hasattr(q, "__index__"):
+                raise ValueError(f"{name} qubit {q!r} is not an integer")
         if len(qubits) == 2 and qubits[0] == qubits[1]:
             raise ValueError(f"{name} acts twice on qubit {qubits[0]}")
         return tuple.__new__(cls, (name, qubits, params))

@@ -64,9 +64,6 @@ class ArchitectureGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
     def _sparse_adjacency(self) -> csr_matrix:
         """Symmetric CSR adjacency: each edge is entered from both ends."""
         u, v = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T

@@ -68,7 +68,7 @@ def maximal_matching(g: ArchitectureGraph) -> list[Edge]:
     """Greedy maximal matching over lexicographically sorted edges."""
     used: set[int] = set()
     matching: list[Edge] = []
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         if u in used or v in used:
             continue
         matching.append((u, v))

@@ -10,12 +10,16 @@ The register holds at most ``MAX_QUBITS`` qubits, and gate parameters must be
 finite (``nan``, ``inf`` and literals that overflow to infinity are rejected).
 Emitted circuits can carry initial/final qubit-to-vertex mapping comments,
 which :func:`parse_qasm` returns when present.
+Malformed input raises a :class:`QasmError` naming its line.  A statement of
+the gate form above that fails a check is named by its first failed check; any
+other statement by its leading word, or else as ``cannot parse '<stmt>'``.
 """
 from __future__ import annotations
 
 import math
 import re
 from collections.abc import Callable
+from string import ascii_letters
 from typing import NoReturn
 
 from .circuit import Circuit, Gate
@@ -34,10 +38,6 @@ _HEADER = re.compile(r'OPENQASM\s+2\.0|include\s+"qelib1\.inc"')
 # header's.
 _GATE = re.compile(r"\s*(?!qreg)([a-zA-Z]+)(?![a-zA-Z])\s*(?:\(([^);]*)\))?"
                    r"\s*q\s*\[\s*(\d+)\s*\]\s*(?:,\s*q\s*\[\s*(\d+)\s*\]\s*)?;?\s*")
-# The loose decomposition below only names the error once _GATE has missed or
-# a check has failed.
-_STMT = re.compile(r"^(?P<name>[a-zA-Z]+)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>[^;]*)$")
-_ARG = re.compile(r"q\s*\[\s*(\d+)\s*\]")
 _MAPPING = re.compile(r"//\s*(initial|final):\s*(\S+)\s*->\s*v\[(\d+)\]")
 
 _GATE_ARITY = {"u": (3, 1), "h": (0, 1), "x": (0, 1), "rz": (1, 1),
@@ -130,52 +130,47 @@ def _gate(m: re.Match, lineno: int, n_qubits: int,
             qubits = (qa, qb)
             ok = qa < n_qubits and qb < n_qubits and qa != qb
     except ValueError:  # a bad float, or an index with more digits than int() converts
-        _reject(m.group().strip(), lineno, n_qubits)
+        _reject(m.group(), lineno, n_qubits, m)
     if (not ok or _GATE_ARITY.get(name) != (len(params), len(qubits))
             or (params and not all(map(math.isfinite, params)))):
-        _reject(m.group().strip(), lineno, n_qubits)
+        _reject(m.group(), lineno, n_qubits, m)
     # The checks above include Gate's own, so the tuple is built without them.
     g = tuple.__new__(Gate, (name, share(qubits, qubits), params))
     return g if params else share(g, g)
 
 
-def _reject(stmt: str, lineno: int, n_qubits: int | None) -> NoReturn:
+def _reject(stmt: str, lineno: int, n_qubits: int | None, m: re.Match | None = None) -> NoReturn:
     """Raise the QasmError that names what is wrong with a statement.
 
+    ``m`` is the statement's _GATE match, or None where _GATE cannot match it.
     ``n_qubits`` is None before the qreg header.
     """
-    stmt = stmt.removesuffix(";").rstrip()
-    sm = _STMT.match(stmt)
-    name = sm.group("name").lower() if sm else None
+    name = (m.group(1) if m else stmt[:len(stmt) - len(stmt.lstrip(ascii_letters))]).lower()
     if name in _UNSUPPORTED:
         raise QasmError(lineno, f"unsupported statement {name!r}")
     if n_qubits is None:
         raise QasmError(lineno, "statement before qreg header")
-    if not sm:
-        raise QasmError(lineno, f"cannot parse {stmt!r}")
-    if name not in _GATE_ARITY:
+    if name and name not in _GATE_ARITY:
         raise QasmError(lineno, f"unknown gate {name!r}")
-    n_params, n_args = _GATE_ARITY[name]
-    raw_params = sm.group("params")
-    try:
-        params = tuple(float(p) for p in raw_params.split(",")) if raw_params else ()
-    except ValueError:
-        raise QasmError(lineno, f"bad parameters {raw_params!r}") from None
-    if not all(map(math.isfinite, params)):
-        raise QasmError(lineno, f"parameters {raw_params!r} are not finite")
-    if len(params) != n_params:
-        raise QasmError(lineno, f"{name} expects {n_params} parameters")
-    args = [_ARG.fullmatch(a.strip()) for a in sm.group("args").split(",")]
-    if not all(args):
-        raise QasmError(lineno, f"bad qubit arguments {sm.group('args')!r}")
-    if len(args) != n_args:
-        raise QasmError(lineno, f"{name} expects {n_args} qubit arguments")
-    qubits = [_index(a.group(1), lineno, "qubit") for a in args]
-    for q in qubits:
-        if q >= n_qubits:
-            raise QasmError(lineno, f"qubit index {q} out of range")
-    if n_args == 2 and qubits[0] == qubits[1]:
-        raise QasmError(lineno, f"{name} operands must differ")
+    if m:
+        n_params, n_args = _GATE_ARITY[name]
+        raw_params = m.group(2)
+        try:
+            params = tuple(map(float, raw_params.split(","))) if raw_params else ()
+        except ValueError:
+            raise QasmError(lineno, f"bad parameters {raw_params!r}") from None
+        if not all(map(math.isfinite, params)):
+            raise QasmError(lineno, f"parameters {raw_params!r} are not finite")
+        if len(params) != n_params:
+            raise QasmError(lineno, f"{name} expects {n_params} parameters")
+        qubits = [_index(d, lineno, "qubit") for d in m.group(3, 4) if d is not None]
+        if len(qubits) != n_args:
+            raise QasmError(lineno, f"{name} expects {n_args} qubit arguments")
+        for q in qubits:
+            if q >= n_qubits:
+                raise QasmError(lineno, f"qubit index {q} out of range")
+        if n_args == 2 and qubits[0] == qubits[1]:
+            raise QasmError(lineno, f"{name} operands must differ")
     raise QasmError(lineno, f"cannot parse {stmt!r}")
 
 
@@ -189,7 +184,9 @@ def _index(digits: str, lineno: int, what: str) -> int:
 def emit_qasm(circuit: Circuit, initial_map: dict[str, int] | None = None,
               final_map: dict[str, int] | None = None) -> str:
     """Emit the subset; optionally record qubit-to-vertex mappings as
-    comments (initial before the header, final at the end)."""
+    comments (initial before the header, final at the end).  Qubit i is
+    always written ``q[i]``, whatever ``circuit.qubits`` holds, so custom
+    qubit names do not survive a round trip."""
     lines: list[str] = []
     for q, v in (initial_map or {}).items():
         lines.append(f"// initial: {q} -> v[{v}]")

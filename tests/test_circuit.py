@@ -4,6 +4,7 @@ import pickle
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,13 +55,16 @@ def rescan_layers(c):
 
 @st.composite
 def circuits(draw):
-    """Circuits of up to 40 h/u/cx/swap gates; any qubit may stay idle."""
+    """Circuits of up to 40 h/u/cx/swap gates, each ``u`` with three finite
+    angles; any qubit may stay idle."""
     n = draw(st.integers(min_value=2, max_value=7))
     qubit = st.integers(0, n - 1)
-    one = st.builds(lambda name, q: Gate(name, (q,)), st.sampled_from(["h", "u"]), qubit)
+    angle = st.floats(allow_nan=False, allow_infinity=False)
+    h = st.builds(lambda q: Gate("h", (q,)), qubit)
+    u = st.builds(lambda q, ps: Gate("u", (q,), ps), qubit, st.tuples(angle, angle, angle))
     two = st.builds(lambda name, qs: Gate(name, tuple(qs)), st.sampled_from(["cx", "swap"]),
                     st.lists(qubit, min_size=2, max_size=2, unique=True))
-    return circ(n, draw(st.lists(one | two, max_size=40)))
+    return circ(n, draw(st.lists(h | u | two, max_size=40)))
 
 
 class TestGate:
@@ -73,6 +77,20 @@ class TestGate:
     def test_rejects_repeated_qubit(self, qubits):
         with pytest.raises(ValueError):
             Gate("cx", qubits)
+
+    @pytest.mark.parametrize("qubits", [(0.5,), ("0",), (True,), (np.float64(1),),
+                                        (True, 0), (0, 1.0), (np.bool_(False), 1)])
+    def test_rejects_non_integer_qubits(self, qubits):
+        name = "h" if len(qubits) == 1 else "cx"
+        with pytest.raises(ValueError, match="is not an integer"):
+            Gate(name, qubits)
+        with pytest.raises(ValueError, match="is not an integer"):
+            Gate(name, (0, 1)[:len(qubits)])._replace(qubits=qubits)
+
+    def test_keeps_integer_qubits_as_given(self):
+        qs = (np.int64(2), 0)
+        assert Gate("cx", qs).qubits is qs
+        assert circ(3, [Gate("cx", qs)]).gates == [cx(2, 0)]
 
     def test_unpacks_in_field_order(self):
         name, qubits, params = Gate("u", (2,), (0.5, 1.0, 1.5))

@@ -13,6 +13,7 @@ from qroute.circuit import Circuit, Gate, random_circuit
 from qroute.qasm import MAX_QUBITS, QasmError, emit_qasm, parse_qasm
 
 from oracles import reference_emit_qasm, reference_parse_qasm
+from test_circuit import circuits
 
 
 class TestParse:
@@ -113,6 +114,11 @@ class TestRoundTrip:
             again, _, _ = parse_qasm(emit_qasm(c))
             assert again == c
 
+    @given(circuits())
+    def test_generated_circuits(self, c):
+        again, _, _ = parse_qasm(emit_qasm(c))
+        assert again == c
+
     def test_mappings_survive(self):
         c = Circuit(["q[0]", "q[1]"], [Gate("cx", (0, 1))])
         ini = {"q[0]": 1, "q[1]": 0}
@@ -153,6 +159,13 @@ class TestSharing:
         ("cx(0.5) q[0],q[1];", "line 4: cx expects 0 parameters"),
         ("h q[0],q[1];", "line 4: h expects 1 qubit arguments"),
         ("rz(nan) q[0];", "line 4: parameters 'nan' are not finite"),
+        ("ccx q[0],q[1];", "line 4: unknown gate 'ccx'"),
+        ("rz(abc) q[0];", "line 4: bad parameters 'abc'"),
+        ("rz q[0];", "line 4: rz expects 1 parameters"),
+        ("reset q[0];", "line 4: unsupported statement 'reset'"),
+        pytest.param(f"h q[{'9' * 5000}];", "line 4: qubit index of 5000 digits is too long",
+                     id="qubit index too long for int()"),
+        ("h q[0]garbage;", "line 4: cannot parse 'h q[0]garbage'"),
     ])
     def test_rejects_after_shared_gates_as_before(self, stmt, message):
         text = f"qreg q[2];\ncx q[0],q[1];\nh q[0];\n{stmt}\ncx q[0],q[1];"
