@@ -13,6 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# The gate set: name -> (parameter count, qubit count).
+GATE_ARITY = {"u": (3, 1), "h": (0, 1), "x": (0, 1), "rz": (1, 1),
+              "cx": (0, 2), "swap": (0, 2)}
+
 
 class _GateFields(NamedTuple):
     name: str
@@ -21,7 +25,12 @@ class _GateFields(NamedTuple):
 
 
 class Gate(_GateFields):
-    """A gate on one or two distinct integer qubits: the tuple ``(name, qubits, params)``.
+    """A gate of ``GATE_ARITY`` on distinct integer qubits: the tuple ``(name, qubits, params)``.
+
+    Its parameters are finite real numbers, as many as ``GATE_ARITY`` gives
+    its name, so every gate can be emitted as text ``parse_qasm`` reads back.
+    ``qubits`` and ``params`` given as other iterables are stored as tuples;
+    tuples are stored as given.
 
     The field order is part of the interface: ``for name, qs, params in
     circuit.gates`` reads every field of every gate.  A loop that needs one or
@@ -37,13 +46,27 @@ class Gate(_GateFields):
     __slots__ = ()
 
     def __new__(cls, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()):
-        if not 1 <= len(qubits) <= 2:
-            raise ValueError(f"{name} acts on {len(qubits)} qubits; gates act on one or two")
+        if type(qubits) is not tuple:
+            qubits = tuple(qubits)
+        if type(params) is not tuple:
+            params = tuple(params)
+        arity = GATE_ARITY.get(name)
+        if arity is None:
+            raise ValueError(f"unknown gate {name!r}")
+        if arity != (len(params), len(qubits)):
+            raise ValueError(f"{name} acts on {len(qubits)} qubits with {len(params)} parameters; "
+                             f"it takes {arity[1]} qubits and {arity[0]} parameters")
         for q in qubits:  # what operator.index accepts, except bool
             if isinstance(q, bool) or not hasattr(q, "__index__"):
                 raise ValueError(f"{name} qubit {q!r} is not an integer")
         if len(qubits) == 2 and qubits[0] == qubits[1]:
             raise ValueError(f"{name} acts twice on qubit {qubits[0]}")
+        try:
+            finite = all(map(math.isfinite, params))
+        except TypeError:  # not a real number
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} parameters {params!r} are not finite real numbers")
         return tuple.__new__(cls, (name, qubits, params))
 
     @classmethod

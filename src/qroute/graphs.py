@@ -13,9 +13,12 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 Edge = tuple[int, int]
 
-# distances() builds an n x n int64 matrix only up to this many vertices
-# (4096 vertices: 128 MiB).
+# distances() builds an n x n int16 matrix only up to this many vertices
+# (4096 vertices: 32 MiB), so its entries are at most 4095.
 MAX_DIST_VERTICES = 4096
+# Rows of a generic graph's matrix computed per shortest-path call, so the
+# float64 transient is 256 rows, not n.
+_DIST_BLOCK_ROWS = 256
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -74,13 +77,19 @@ class ArchitectureGraph:
         return connected_components(self._sparse_adjacency())[0] <= 1
 
     def distances(self) -> np.ndarray:
-        """All-pairs hop distances as int64, cached.
+        """All-pairs hop distances as int16, cached.
 
         Paths, complete graphs and hierarchical products (those with factors)
         get closed forms built from their factors' matrices; other graphs get
-        one shortest-path call on the sparse adjacency.  A closed form is the
-        metric of the graph the kind and factors describe, so it is accepted
-        only when its pairs at distance 1 are exactly this graph's edges.
+        shortest-path calls on the sparse adjacency, one per block of rows.
+        A closed form is the metric of the graph the kind and factors
+        describe, so it is accepted only when its pairs at distance 1 are
+        exactly this graph's edges.
+
+        Entries are at most 4095 (see ``MAX_DIST_VERTICES``), so a sum of up
+        to 8 entries fits in int16.  Array reductions such as ``.sum()``
+        widen by themselves; code that adds more entries elementwise, or sums
+        numpy scalars with Python ``sum``, must widen first.
 
         Raises ValueError when the graph is disconnected, when its edges
         are not those its kind describes, or when it has more than
@@ -92,10 +101,14 @@ class ArchitectureGraph:
                                  f"{MAX_DIST_VERTICES} vertices")
             d = self._closed_form_distances()
             if d is None:
-                d = shortest_path(self._sparse_adjacency(), unweighted=True)
-                if np.isinf(d).any():
-                    raise ValueError("distance matrix requires a connected graph")
-                d = d.astype(np.int64)
+                adj = self._sparse_adjacency()
+                d = np.empty((self.n, self.n), dtype=np.int16)
+                for start in range(0, self.n, _DIST_BLOCK_ROWS):
+                    stop = min(start + _DIST_BLOCK_ROWS, self.n)
+                    block = shortest_path(adj, unweighted=True, indices=range(start, stop))
+                    if np.isinf(block).any():
+                        raise ValueError("distance matrix requires a connected graph")
+                    d[start:stop] = block
             else:
                 adj = self._sparse_adjacency()
                 if np.count_nonzero(d == 1) != adj.nnz or not (d[adj.nonzero()] == 1).all():
@@ -131,10 +144,10 @@ class ArchitectureGraph:
             d[i, :, i, :] = d2
             return d.reshape(self.n, self.n)
         if self.kind == "path":
-            r = np.arange(self.n, dtype=np.int64)
+            r = np.arange(self.n, dtype=np.int16)
             return np.abs(r[:, None] - r)
         if self.kind == "complete":
-            return 1 - np.eye(self.n, dtype=np.int64)
+            return 1 - np.eye(self.n, dtype=np.int16)
         return None
 
     def shortest_path(self, s: int, t: int) -> list[int]:

@@ -22,7 +22,7 @@ from collections.abc import Callable
 from string import ascii_letters
 from typing import NoReturn
 
-from .circuit import Circuit, Gate
+from .circuit import GATE_ARITY, Circuit, Gate
 
 # The register size is checked before any per-qubit list is built.
 MAX_QUBITS = 1 << 16
@@ -40,8 +40,6 @@ _GATE = re.compile(r"\s*(?!qreg)([a-zA-Z]+)(?![a-zA-Z])\s*(?:\(([^);]*)\))?"
                    r"\s*q\s*\[\s*(\d+)\s*\]\s*(?:,\s*q\s*\[\s*(\d+)\s*\]\s*)?;?\s*")
 _MAPPING = re.compile(r"//\s*(initial|final):\s*(\S+)\s*->\s*v\[(\d+)\]")
 
-_GATE_ARITY = {"u": (3, 1), "h": (0, 1), "x": (0, 1), "rz": (1, 1),
-               "cx": (0, 2), "swap": (0, 2)}
 # OpenQASM 2 statements outside the subset, named as such when they appear.
 _UNSUPPORTED = frozenset({"creg", "measure", "barrier", "reset"})
 
@@ -131,7 +129,7 @@ def _gate(m: re.Match, lineno: int, n_qubits: int,
             ok = qa < n_qubits and qb < n_qubits and qa != qb
     except ValueError:  # a bad float, or an index with more digits than int() converts
         _reject(m.group(), lineno, n_qubits, m)
-    if (not ok or _GATE_ARITY.get(name) != (len(params), len(qubits))
+    if (not ok or GATE_ARITY.get(name) != (len(params), len(qubits))
             or (params and not all(map(math.isfinite, params)))):
         _reject(m.group(), lineno, n_qubits, m)
     # The checks above include Gate's own, so the tuple is built without them.
@@ -150,10 +148,10 @@ def _reject(stmt: str, lineno: int, n_qubits: int | None, m: re.Match | None = N
         raise QasmError(lineno, f"unsupported statement {name!r}")
     if n_qubits is None:
         raise QasmError(lineno, "statement before qreg header")
-    if name and name not in _GATE_ARITY:
+    if name and name not in GATE_ARITY:
         raise QasmError(lineno, f"unknown gate {name!r}")
     if m:
-        n_params, n_args = _GATE_ARITY[name]
+        n_params, n_args = GATE_ARITY[name]
         raw_params = m.group(2)
         try:
             params = tuple(map(float, raw_params.split(","))) if raw_params else ()

@@ -2,6 +2,7 @@
 import copy
 import pickle
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from qroute.circuit import (Circuit, FrontLayer, Gate, GateWeights, layers,
                             random_circuit, weighted_metrics)
+from qroute.qasm import emit_qasm, parse_qasm
 
 from oracles import longest_weighted_path
 
@@ -91,6 +93,39 @@ class TestGate:
         qs = (np.int64(2), 0)
         assert Gate("cx", qs).qubits is qs
         assert circ(3, [Gate("cx", qs)]).gates == [cx(2, 0)]
+
+    def test_stores_other_iterables_as_tuples(self):
+        g = Gate("rz", [0], [0.5])
+        assert g == Gate("rz", (0,), (0.5,)) and hash(g) == hash(Gate("rz", (0,), (0.5,)))
+        assert type(g.qubits) is tuple and type(g.params) is tuple
+        qs, ps = (1,), (0.25,)
+        g = Gate("rz", qs, ps)
+        assert g.qubits is qs and g.params is ps
+
+    @pytest.mark.parametrize("name,qubits,params,message", [
+        ("bogus", (0,), (), "unknown gate 'bogus'"),
+        ("CX", (0, 1), (), "unknown gate 'CX'"),
+        ("h", (0, 1), (), "h acts on 2 qubits with 0 parameters; it takes 1 qubits and 0 parameters"),
+        ("cx", (0,), (), "cx acts on 1 qubits with 0 parameters; it takes 2 qubits"),
+        ("rz", (0,), (), "rz acts on 1 qubits with 0 parameters; it takes 1 qubits and 1 parameters"),
+        ("u", (0,), (0.5,), "it takes 1 qubits and 3 parameters"),
+        ("h", (0,), (0.5,), "h acts on 1 qubits with 1 parameters"),
+        ("rz", (0,), (float("nan"),), "not finite real numbers"),
+        ("rz", (0,), (float("-inf"),), "not finite real numbers"),
+        ("rz", (0,), ("abc",), "not finite real numbers"),
+        ("rz", (0,), (1j,), "not finite real numbers"),
+        ("u", (0,), (0.5, np.float64("inf"), 1.0), "not finite real numbers"),
+    ])
+    def test_rejects_what_emit_qasm_cannot_write(self, name, qubits, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Gate(name, qubits, params)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Gate("cx", (0, 1))._replace(name=name, qubits=qubits, params=params)
+
+    @pytest.mark.parametrize("params", [(1,), (np.float64(0.5),), (np.int32(-2),)])
+    def test_accepts_finite_real_parameters(self, params):
+        c = circ(1, [Gate("rz", (0,), params)])
+        assert parse_qasm(emit_qasm(c))[0] == c
 
     def test_unpacks_in_field_order(self):
         name, qubits, params = Gate("u", (2,), (0.5, 1.0, 1.5))

@@ -1,5 +1,6 @@
 """Architecture graph construction and distances."""
 import itertools
+import random
 
 import networkx as nx
 import numpy as np
@@ -153,7 +154,7 @@ class TestDistances:
                     expect[s, t] = hops
             d = g.distances()
             assert g.is_connected()
-            assert d.dtype == np.int64
+            assert d.dtype == np.int16
             assert np.array_equal(d, expect), g
 
     @pytest.mark.parametrize("n,edges", [(2, set()), (4, {(0, 1), (2, 3)})])
@@ -171,6 +172,30 @@ class TestDistances:
         n = MAX_DIST_VERTICES + 1
         with pytest.raises(ValueError, match=f"distance matrix of {n} vertices exceeds"):
             graph(n).distances()
+
+    @pytest.mark.parametrize("graph", [
+        path_graph,
+        lambda n: ArchitectureGraph(n, {(i, i + 1) for i in range(n - 1)}),
+    ], ids=["closed form", "csgraph"])
+    def test_matrix_at_the_cap_is_int16(self, graph):
+        d = graph(MAX_DIST_VERTICES).distances()
+        assert d.dtype == np.int16 and d.max() == MAX_DIST_VERTICES - 1
+        assert d[0, -1] == d[-1, 0] == MAX_DIST_VERTICES - 1
+
+    def test_generic_graph_over_several_row_blocks(self):
+        rng = random.Random(5)
+        n = 700
+        edges = {(i, i + 1) for i in range(n - 1)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(40)}
+        g = ArchitectureGraph(n, edges)
+        expect = shortest_path(g._sparse_adjacency(), unweighted=True).astype(np.int64)
+        assert np.array_equal(g.distances(), expect)
+
+    def test_disconnected_past_the_first_row_block_rejected(self):
+        # Only the edge between vertices 600 and 601 is missing.
+        g = ArchitectureGraph(700, {(i, i + 1) for i in range(699) if i != 600})
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            g.distances()
 
     def test_shortest_path_prefers_low_index(self):
         g = grid_graph(2, 2)
@@ -223,7 +248,7 @@ class TestClosedFormDistances:
     def test_equal_csgraph(self, g):
         expect = shortest_path(g._sparse_adjacency(), unweighted=True).astype(np.int64)
         d = g.distances()
-        assert d.dtype == np.int64
+        assert d.dtype == np.int16
         assert np.array_equal(d, expect)
 
     @pytest.mark.parametrize("g", [

@@ -1,9 +1,12 @@
-"""Memory a built circuit retains, measured with tracemalloc.
+"""Memory that built circuits and distance matrices take, measured with tracemalloc.
 
-The bounds are per gate, for the 5,280-gate ``random_circuit(16, 60)``.  A
-circuit that gives every gate its own operand tuple, its own parameterless
+The circuit bounds are per gate, for the 5,280-gate ``random_circuit(16, 60)``.
+A circuit that gives every gate its own operand tuple, its own parameterless
 ``Gate`` and numpy scalar angles retains about 230 B per gate when generated
 and 281 B per gate when parsed; sharing brings these to about 172 and 206 B.
+A 1,024-vertex int64 distance matrix is 8 MiB, and one float64 shortest-path
+call over all rows peaks at 16 MiB; int16 and blocks of rows bring these to 2
+and about 6 MiB.
 """
 import gc
 import tracemalloc
@@ -11,18 +14,21 @@ import tracemalloc
 import pytest
 
 from qroute.circuit import random_circuit
+from qroute.graphs import ArchitectureGraph, grid_graph
 from qroute.qasm import emit_qasm, parse_qasm
 
 
-def retained_bytes(build):
-    """What ``build()`` returns, and the bytes still allocated while it is held."""
+def traced_bytes(build):
+    """What ``build()`` returns, the bytes still allocated while it is held,
+    and the most allocated at once while it ran."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         built = build()
         gc.collect()
-        return built, tracemalloc.get_traced_memory()[0] - before
+        current, peak = tracemalloc.get_traced_memory()
+        return built, current - before, peak - before
     finally:
         tracemalloc.stop()
 
@@ -34,12 +40,26 @@ def deep16_text():
 
 
 def test_parsed_circuit_retains_at_most_240_bytes_per_gate(deep16_text):
-    (circuit, _, _), size = retained_bytes(lambda: parse_qasm(deep16_text))
+    (circuit, _, _), size, _ = traced_bytes(lambda: parse_qasm(deep16_text))
     assert len(circuit) == 5280
     assert size / len(circuit) <= 240
 
 
 def test_generated_circuit_retains_at_most_200_bytes_per_gate(deep16_text):
-    circuit, size = retained_bytes(lambda: random_circuit(16, 60, seed=0))
+    circuit, size, _ = traced_bytes(lambda: random_circuit(16, 60, seed=0))
     assert len(circuit) == 5280
     assert size / len(circuit) <= 200
+
+
+def test_grid_distances_retain_at_most_2_1_mib():
+    g = grid_graph(32, 32)
+    d, size, _ = traced_bytes(g.distances)
+    assert d.shape == (1024, 1024)
+    assert size <= 2.1 * 2**20
+
+
+def test_generic_distances_peak_at_most_7_mib():
+    g = ArchitectureGraph(1024, {(i, i + 1) for i in range(1023)})
+    d, _, peak = traced_bytes(g.distances)
+    assert d[0, -1] == 1023
+    assert peak <= 7 * 2**20

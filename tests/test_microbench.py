@@ -46,6 +46,7 @@ def test_grid_distances(benchmark):
     got = benchmark.pedantic(lambda g: g.distances(), setup=fresh, rounds=5, iterations=1)
     i, j = np.divmod(np.arange(32 * 32), 32)
     assert np.array_equal(got, abs(i[:, None] - i) + abs(j[:, None] - j))
+    assert got.nbytes == 2 * 1024**2
 
 
 def _placement(k):
