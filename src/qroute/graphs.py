@@ -156,8 +156,12 @@ class ArchitectureGraph:
 
         Reads :meth:`distances`, so it raises the same ValueError when the
         graph is disconnected (even if s and t share a component) or has
-        more than ``MAX_DIST_VERTICES`` vertices.
+        more than ``MAX_DIST_VERTICES`` vertices.  A vertex outside 0..n-1
+        raises ValueError too.
         """
+        for v in (s, t):
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range [0, {self.n})")
         d = self.distances()
         path = [s]
         while path[-1] != t:

@@ -20,48 +20,44 @@ from .graphs import ArchitectureGraph, Edge
 _TRIPLE = np.dtype([("l", np.float64), ("r", np.float64), ("w", np.float64)])
 
 
-class WeightedBipartiteGraph:
-    """Bipartite multigraph with real edge weights, held as a cost matrix.
+def cost_matrix(n_left: int, n_right: int,
+                edges: Sequence[tuple[int, int, float]] = ()) -> np.ndarray:
+    """Cost matrix of a bipartite multigraph given as (left, right, weight) triples.
 
-    Edges are (left, right, weight) triples; parallel edges are allowed.
-    ``cost`` is a float64 array of shape (n_left, n_right) whose entry
-    [l, r] is the cheapest weight of an edge from l to r, or inf where
-    there is none.  Each edge must be a 3-item sequence, side counts
-    non-negative, endpoints integers in range and weights finite; a
-    ValueError names the first edge that is not.
+    Entry [l, r] of the float64 (n_left, n_right) result is the cheapest
+    weight of the parallel edges from l to r, or inf where there is none.
+    Each edge must be a 3-item sequence, side counts non-negative, endpoints
+    integers in range and weights finite; a ValueError names the first edge
+    that is not.
     """
+    if n_left < 0 or n_right < 0:
+        raise ValueError(f"negative side count: n_left={n_left}, n_right={n_right}")
+    triples = np.fromiter(edges, _TRIPLE, len(edges))
+    left, right, weight = triples["l"], triples["r"], triples["w"]
+    fractional = (left != np.floor(left)) | (right != np.floor(right))
+    outside = ~((0 <= left) & (left < n_left) & (0 <= right) & (right < n_right))
+    infinite = ~np.isfinite(weight)
+    # The decode reads a bare number x as the triple (x, x, x), so rows of
+    # that form are unpacked too; a valid list has few.
+    suspect = fractional | outside | infinite | ((left == right) & (right == weight))
+    for i in np.flatnonzero(suspect).tolist():
+        try:
+            l, r, w = edges[i]
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edges[i]!r} is not a (left, right, weight) triple") from None
+        if fractional[i]:
+            raise ValueError(f"edge ({l}, {r}) has a non-integer endpoint")
+        if outside[i]:
+            raise ValueError(f"edge ({l}, {r}) out of range")
+        if infinite[i]:
+            raise ValueError(f"edge weight {w} is not finite")
+    cost = np.full((n_left, n_right), np.inf)
+    np.minimum.at(cost, (left.astype(np.intp), right.astype(np.intp)), weight)
+    return cost
 
-    def __init__(self, n_left: int, n_right: int,
-                 edges: Sequence[tuple[int, int, float]] = ()):
-        if n_left < 0 or n_right < 0:
-            raise ValueError(f"negative side count: n_left={n_left}, n_right={n_right}")
-        self.n_left = n_left
-        self.n_right = n_right
-        edges = edges or ()
-        triples = np.fromiter(edges, _TRIPLE, len(edges))
-        left, right, weight = triples["l"], triples["r"], triples["w"]
-        fractional = (left != np.floor(left)) | (right != np.floor(right))
-        outside = ~((0 <= left) & (left < n_left) & (0 <= right) & (right < n_right))
-        infinite = ~np.isfinite(weight)
-        # The decode reads a bare number x as the triple (x, x, x), so rows of
-        # that form are unpacked too; a valid list has few.
-        suspect = fractional | outside | infinite | ((left == right) & (right == weight))
-        if suspect.any():
-            for i in np.flatnonzero(suspect).tolist():
-                try:
-                    l, r, w = edges[i]
-                except (TypeError, ValueError):
-                    raise ValueError(f"edge {edges[i]!r} is not a (left, right, weight) "
-                                     "triple") from None
-                if fractional[i]:
-                    raise ValueError(f"edge ({l}, {r}) has a non-integer endpoint")
-                if outside[i]:
-                    raise ValueError(f"edge ({l}, {r}) out of range")
-                if infinite[i]:
-                    raise ValueError(f"edge weight {w} is not finite")
-        self.cost = np.full((n_left, n_right), np.inf)
-        # Of parallel edges, the cheapest is kept.
-        np.minimum.at(self.cost, (left.astype(np.intp), right.astype(np.intp)), weight)
+
+# The class name perfbench still calls; ROADMAP item 5 deletes this alias.
+WeightedBipartiteGraph = cost_matrix
 
 
 def maximal_matching(g: ArchitectureGraph) -> list[Edge]:
@@ -98,13 +94,14 @@ def _tight_edges(cost: np.ndarray, cols: list[int]) -> np.ndarray:
     return cost - u[:, None] - v[None, :] <= tol
 
 
-def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, int]]:
-    """Minimum-weight perfect matching on a bipartite (multi)graph.
+def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Minimum-weight perfect matching of a square cost matrix, as (row, column) pairs.
 
-    Negative weights are permitted; an inf entry of ``b.cost`` is a forbidden
-    edge.  Among equal-weight optima the lexicographically smallest edge set
-    is returned.  Raises ValueError when no perfect matching exists, which
-    scipy's assignment solver detects itself.
+    Negative weights are permitted; an inf entry is a forbidden pair.  Among
+    equal-weight optima the lexicographically smallest edge set is returned.
+    Raises ValueError when ``cost`` is not square, holds NaN or -inf, or
+    admits no perfect matching, which scipy's assignment solver detects
+    itself.
 
     One assignment solve gives an optimum, and optimal duals recovered from
     it by Bellman-Ford mark the tight edges, those of zero reduced cost: the
@@ -116,12 +113,14 @@ def min_weight_perfect_matching(b: WeightedBipartiteGraph) -> list[tuple[int, in
     max(1, largest |weight|) count as tight, so optima closer than that are
     ties.  Cost: one solve plus O(n^3).
     """
-    if b.n_left != b.n_right:
-        raise ValueError(f"sides differ: {b.n_left} != {b.n_right}")
-    n = b.n_left
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"sides differ: cost has shape {cost.shape}")
+    if not (cost > -np.inf).all():  # false for NaN as well as -inf
+        raise ValueError("cost holds NaN or -inf")
+    n = len(cost)
     if n == 0:
         return []
-    cost = b.cost
     try:
         # Entries are finite or inf, so infeasibility is scipy's only ValueError.
         cols = linear_sum_assignment(cost)[1].tolist()  # rows come back as 0..n-1

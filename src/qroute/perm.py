@@ -64,6 +64,8 @@ class PartialPermutation:
         return f"PartialPermutation(n={self.n}, {{{pairs}}})"
 
     def __call__(self, v: int) -> int | None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range [0, {self.n})")
         return self.forward[v]
 
     def items(self) -> Iterator[tuple[int, int]]:

@@ -105,6 +105,29 @@ def routing_size_table(edges: list[tuple[int, int]], n: int) -> dict[State, int]
     return dist
 
 
+def routing_number_table(edges: list[tuple[int, int]], n: int) -> dict[State, int]:
+    """rt(G, pi) for every total permutation, via one BFS sweep from identity.
+
+    A step swaps along a matching, which is an involution, so distance from
+    identity equals distance to identity.
+    """
+    moves = all_matchings(edges)
+    ident: State = tuple(range(n))
+    dist: dict[State, int] = {ident: 0}
+    queue = deque([ident])
+    while queue:
+        state = queue.popleft()
+        d = dist[state]
+        for matching in moves:
+            nxt = state
+            for u, v in matching:
+                nxt = swap_state(nxt, u, v)
+            if nxt not in dist:
+                dist[nxt] = d + 1
+                queue.append(nxt)
+    return dist
+
+
 def brute_max_bipartite(n_left: int, n_right: int,
                         pairs: set[tuple[int, int]]) -> int:
     """Maximum matching cardinality by exhaustive recursion."""

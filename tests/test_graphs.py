@@ -211,6 +211,12 @@ class TestDistances:
     def test_shortest_path_to_itself(self):
         assert grid_graph(3, 3).shortest_path(4, 4) == [4]
 
+    # numpy would read -1 as the last vertex.
+    @pytest.mark.parametrize("s,t,bad", [(-1, 2, -1), (0, -1, -1), (4, 0, 4), (0, 4, 4)])
+    def test_shortest_path_vertex_out_of_range_rejected(self, s, t, bad):
+        with pytest.raises(ValueError, match=rf"vertex {bad} out of range \[0, 4\)"):
+            path_graph(4).shortest_path(s, t)
+
     @pytest.mark.parametrize("s,t", [(0, 1), (0, 2)], ids=["same component", "across"])
     def test_shortest_path_on_disconnected_graph_rejected(self, s, t):
         g = ArchitectureGraph(3, {(0, 1)})

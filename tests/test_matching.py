@@ -35,14 +35,14 @@ class TestMaximalMatching:
 class TestWeightedBipartiteGraph:
     def test_empty(self):
         for b in (WeightedBipartiteGraph(2, 3), WeightedBipartiteGraph(2, 3, [])):
-            assert b.cost.dtype == np.float64
-            assert b.cost.tolist() == [[math.inf] * 3] * 2
+            assert b.dtype == np.float64
+            assert b.tolist() == [[math.inf] * 3] * 2
         assert min_weight_perfect_matching(WeightedBipartiteGraph(0, 0, [])) == []
 
     def test_parallel_edges_keep_cheapest(self):
         b = WeightedBipartiteGraph(2, 2, [(0, 1, 4.0), (0, 1, -2.0), (0, 1, 7.0),
                                           (1, 0, 1.0)])
-        assert b.cost.tolist() == [[math.inf, -2.0], [1.0, math.inf]]
+        assert b.tolist() == [[math.inf, -2.0], [1.0, math.inf]]
 
     @pytest.mark.parametrize("n_left,n_right", [(-1, 2), (2, -1), (-3, -3)])
     def test_negative_side_count(self, n_left, n_right):
@@ -102,6 +102,17 @@ class TestMinWeightPerfect:
     def test_side_mismatch(self):
         with pytest.raises(ValueError):
             min_weight_perfect_matching(WeightedBipartiteGraph(2, 3))
+
+    @pytest.mark.parametrize("cost,message", [
+        (np.zeros((2, 3)), "sides differ"),
+        (np.zeros(3), "sides differ"),
+        (np.zeros((2, 2, 2)), "sides differ"),
+        (np.array([[0.0, 1.0], [math.nan, 2.0]]), "NaN or -inf"),
+        (np.array([[0.0, -math.inf], [1.0, 2.0]]), "NaN or -inf"),
+    ], ids=["2x3", "1-d", "3-d", "nan", "minus-inf"])
+    def test_rejects_malformed_cost(self, cost, message):
+        with pytest.raises(ValueError, match=message):
+            min_weight_perfect_matching(cost)
 
     def test_parallel_edges_use_cheapest(self):
         b = WeightedBipartiteGraph(1, 1, [(0, 0, 5.0), (0, 0, 2.0)])

@@ -59,7 +59,7 @@ def _placement(k):
 def test_weighted_bipartite_graph_build(benchmark):
     cost, edges = _placement(32)
     got = benchmark.pedantic(WeightedBipartiteGraph, (32, 32, edges), rounds=20, iterations=1)
-    assert np.array_equal(got.cost, cost)
+    assert np.array_equal(got, cost)
 
 
 @pytest.mark.parametrize("k", [8, 32])

@@ -54,6 +54,12 @@ class TestConstruction:
         assert p.forward == [2, 0, None]
         assert pp(3, {np.int64(1): np.int16(2)}).forward == [None, 2, None]
 
+    # A list would read -1 as the last vertex.
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_call_rejects_vertex_out_of_range(self, v):
+        with pytest.raises(ValueError, match=rf"vertex {v} out of range \[0, 3\)"):
+            PartialPermutation(3, [1, None, 0])(v)
+
     def test_dom_image_sizes_match(self):
         p = pp(5, {0: 3, 2: 1})
         assert p.dom() == [0, 2]
