@@ -156,12 +156,20 @@ class ArchitectureGraph:
 
         Reads :meth:`distances`, so it raises the same ValueError when the
         graph is disconnected (even if s and t share a component) or has
-        more than ``MAX_DIST_VERTICES`` vertices.  A vertex outside 0..n-1
-        raises ValueError too.
+        more than ``MAX_DIST_VERTICES`` vertices.  A vertex that is not an
+        integer (read through ``operator.index``, so ``True`` is 1) or lies
+        outside 0..n-1 raises ValueError too.
         """
+        ends = []
         for v in (s, t):
+            try:
+                v = index(v)
+            except TypeError:
+                raise ValueError(f"vertex {v!r} is not an integer") from None
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range [0, {self.n})")
+            ends.append(v)
+        s, t = ends
         d = self.distances()
         path = [s]
         while path[-1] != t:

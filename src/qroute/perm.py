@@ -7,6 +7,7 @@ of the token currently sitting on vertex ``v`` (``None`` = no token).
 """
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 
@@ -64,6 +65,12 @@ class PartialPermutation:
         return f"PartialPermutation(n={self.n}, {{{pairs}}})"
 
     def __call__(self, v: int) -> int | None:
+        """Target of vertex v (None if unmapped); v is read through
+        ``operator.index``, so ``True`` is vertex 1 and 1.5 is refused."""
+        try:
+            v = index(v)
+        except TypeError:
+            raise ValueError(f"vertex {v!r} is not an integer") from None
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
         return self.forward[v]

@@ -56,10 +56,21 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
     The mappings are None unless the text carries ``// initial:`` /
     ``// final:`` comment lines.  The circuit holds one ``qubits`` tuple per
     distinct operand list and one ``Gate`` per distinct parameterless gate.
+    A gate line whose code part repeats an earlier parameterless gate line
+    appends that line's ``Gate`` without matching or checking it again, and
+    the index digits of a one-operand statement seen before give their tuple
+    without converting or checking them.
     """
-    # Maps each accepted operand tuple and parameterless gate to its first
-    # instance; it lives for this call only.
+    # Tables that live for this call only (a rejected line ends it).
+    # ``share`` maps each operand tuple and parameterless gate to its first
+    # instance; ``singles`` maps the index digits of each one-operand list
+    # to its tuple; ``known`` maps the code part of each parameterless gate
+    # line to its Gate.  Two-operand gates have no parameters, so a repeated
+    # two-operand line is found in ``known``: digits are looked up only for
+    # one-operand lists, whose lines with parameters never repeat whole.
     share = {}.setdefault
+    singles: dict[str, tuple[int]] = {}
+    known: dict[str, Gate] = {}
     initial: dict[str, int] = {}
     final: dict[str, int] = {}
     circuit: Circuit | None = None
@@ -73,9 +84,15 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
                 vertex = _index(m.group(3), lineno, "vertex")
                 (initial if m.group(1) == "initial" else final)[m.group(2)] = vertex
             line = line.split("//", 1)[0]
+        if (g := known.get(line)) is not None:
+            append(g)
+            continue
         # The usual line holds one gate statement and needs no ';' split.
         if append is not None and (m := _GATE.fullmatch(line)):
-            append(_gate(m, lineno, n_qubits, share))
+            g = _gate(m, lineno, n_qubits, singles, share)
+            if not g.params:
+                known[line] = g
+            append(g)
             continue
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
             if stmt.startswith("qreg"):
@@ -89,7 +106,7 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
                 continue
             if append is None or (m := _GATE.fullmatch(stmt)) is None:
                 _reject(stmt, lineno, n_qubits)
-            append(_gate(m, lineno, n_qubits, share))
+            append(_gate(m, lineno, n_qubits, singles, share))
     if circuit is None:
         raise QasmError(0, "missing qreg header")
     return circuit, (initial or None), (final or None)
@@ -108,32 +125,37 @@ def _qreg_size(stmt: str, lineno: int) -> int:
     return size
 
 
-def _gate(m: re.Match, lineno: int, n_qubits: int,
+def _gate(m: re.Match, lineno: int, n_qubits: int, singles: dict[str, tuple[int]],
           share: Callable[[tuple, tuple], tuple]) -> Gate:
     """The gate a _GATE match denotes, once every check has passed.
 
-    ``share`` is the ``setdefault`` of the caller's table: it returns the
-    first instance of an equal operand tuple or parameterless gate.
+    ``singles`` maps the index digits of each one-operand list seen so far
+    to its tuple, and ``share`` is the ``setdefault`` of the caller's table:
+    it returns the first instance of an equal operand tuple or parameterless
+    gate.
     """
     name, raw_params, a, b = m.groups()
     name = name.lower()
+    ok = True
     try:
         params = tuple(map(float, raw_params.split(","))) if raw_params else ()
-        if b is None:
-            qa = int(a)
-            qubits = (qa,)
-            ok = qa < n_qubits
-        else:
+        if b is not None:
             qa, qb = int(a), int(b)
             qubits = (qa, qb)
             ok = qa < n_qubits and qb < n_qubits and qa != qb
+            qubits = share(qubits, qubits)
+        elif (qubits := singles.get(a)) is None:
+            qa = int(a)
+            qubits = (qa,)
+            ok = qa < n_qubits  # if not, the parse ends here
+            qubits = singles[a] = share(qubits, qubits)
     except ValueError:  # a bad float, or an index with more digits than int() converts
         _reject(m.group(), lineno, n_qubits, m)
     if (not ok or GATE_ARITY.get(name) != (len(params), len(qubits))
             or (params and not all(map(math.isfinite, params)))):
         _reject(m.group(), lineno, n_qubits, m)
     # The checks above include Gate's own, so the tuple is built without them.
-    g = tuple.__new__(Gate, (name, share(qubits, qubits), params))
+    g = tuple.__new__(Gate, (name, qubits, params))
     return g if params else share(g, g)
 
 

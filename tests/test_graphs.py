@@ -1,6 +1,7 @@
 """Architecture graph construction and distances."""
 import itertools
 import random
+import re
 
 import networkx as nx
 import numpy as np
@@ -216,6 +217,18 @@ class TestDistances:
     def test_shortest_path_vertex_out_of_range_rejected(self, s, t, bad):
         with pytest.raises(ValueError, match=rf"vertex {bad} out of range \[0, 4\)"):
             path_graph(4).shortest_path(s, t)
+
+    @pytest.mark.parametrize("s,t,bad", [(1.5, 2, "1.5"), (0, "2", "'2'"), (None, 1, "None")])
+    def test_shortest_path_non_integer_vertex_rejected(self, s, t, bad):
+        with pytest.raises(ValueError, match=rf"vertex {re.escape(bad)} is not an integer"):
+            path_graph(4).shortest_path(s, t)
+
+    # Vertices are read through operator.index, as edge endpoints are.
+    def test_shortest_path_reads_bool_and_numpy_integer_as_int(self):
+        g = path_graph(4)
+        assert g.shortest_path(True, 3) == [1, 2, 3]
+        assert g.shortest_path(np.int64(2), False) == [2, 1, 0]
+        assert all(type(v) is int for v in g.shortest_path(True, np.int16(3)))
 
     @pytest.mark.parametrize("s,t", [(0, 1), (0, 2)], ids=["same component", "across"])
     def test_shortest_path_on_disconnected_graph_rejected(self, s, t):

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from qroute import matching
-from qroute.graphs import complete_graph, path_graph, grid_graph
-from qroute.matching import (WeightedBipartiteGraph, maximal_matching,
+from qroute.graphs import complete_graph, grid_graph, modular_graph, path_graph
+from qroute.matching import (WeightedBipartiteGraph, _tight_edges, maximal_matching,
                              min_weight_perfect_matching)
 
 from oracles import brute_min_weight_pm, refix_min_weight_pm
@@ -64,6 +64,16 @@ class TestWeightedBipartiteGraph:
     def test_malformed_triple(self, edges):
         with pytest.raises(ValueError):
             WeightedBipartiteGraph(2, 2, edges)
+
+    # Only tuples are decoded; other 3-item sequences are refused unnamed.
+    @pytest.mark.parametrize("edge,error", [
+        ([1, 0, 2.0], ValueError),
+        (np.array([1.0, 0.0, 2.0]), ValueError),
+        ({1: 0}, TypeError),
+    ], ids=["list", "ndarray-row", "dict"])
+    def test_non_tuple_edge_refused(self, edge, error):
+        with pytest.raises(error):
+            WeightedBipartiteGraph(2, 2, [(0, 1, 1.0), edge])
 
     @pytest.mark.parametrize("edges,message", [
         ([(0, 0, 1.0), (2, 0, 1.0), (0, 5, math.nan)], r"edge \(2, 0\) out of range"),
@@ -179,3 +189,54 @@ class TestMinWeightPerfect:
                                             for l in range(20) for r in range(20)])
         min_weight_perfect_matching(b)
         assert calls == [(20, 20)]
+
+    # Placement-shaped input: each gate of a front layer is costed against
+    # each slot of a maximal matching as the cheaper of its two orientations.
+    @pytest.mark.parametrize("graph", [grid_graph(4, 4), modular_graph(4, 4)],
+                             ids=["grid4x4", "modular4x4"])
+    def test_front_layers_against_refixing_reference(self, graph):
+        d = graph.distances().astype(np.int64)
+        slots = maximal_matching(graph)
+        rng = random.Random(graph.kind)
+        for _ in range(150):
+            k = rng.randint(1, min(8, len(slots)))
+            qubits = rng.sample(range(graph.n), 2 * k)
+            a, b = np.array(qubits[0::2]), np.array(qubits[1::2])
+            x, y = np.array(slots[:k]).T
+            cost = np.minimum(d[a][:, x] + d[b][:, y], d[a][:, y] + d[b][:, x]).astype(float)
+            got = min_weight_perfect_matching(cost)
+            assert [r for _, r in got] == refix_min_weight_pm(cost.tolist())
+
+
+def _reference_tight_edges(cost, cols):
+    """Tight edges by Bellman-Ford over the unpermuted rows, gathering v[cols]."""
+    n = len(cols)
+    assigned = cost[np.arange(n), cols]
+    step = cost - assigned[:, None]
+    v = np.zeros(n)
+    for _ in range(n):
+        relaxed = np.minimum(v, (v[cols][:, None] + step).min(axis=0))
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    u = assigned - v[cols]
+    tol = 1e-9 * max(1.0, float(abs(cost[np.isfinite(cost)]).max()))
+    return cost - u[:, None] - v[None, :] <= tol
+
+
+@pytest.mark.parametrize("weights", ["ties", "spread", "float"])
+def test_tight_edges_match_reference(weights):
+    rng = np.random.default_rng(len(weights))
+    checked = 0
+    while checked < 60:
+        n = int(rng.integers(1, 24))
+        cost = {"ties": lambda: rng.integers(0, 4, (n, n)).astype(float),
+                "spread": lambda: rng.integers(-30, 61, (n, n)).astype(float),
+                "float": lambda: rng.uniform(-5.0, 20.0, (n, n))}[weights]()
+        cost[rng.random((n, n)) < rng.choice([0.0, 0.2, 0.5])] = math.inf
+        try:
+            cols = linear_sum_assignment(cost)[1]
+        except ValueError:  # no perfect matching avoids the holes
+            continue
+        assert np.array_equal(_tight_edges(cost, cols), _reference_tight_edges(cost, cols))
+        checked += 1

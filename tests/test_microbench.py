@@ -24,6 +24,13 @@ def test_parse_qasm(benchmark):
     assert circuit == _CIRCUIT
 
 
+def test_parse_qasm_wide(benchmark):
+    """64 qubits, as grid1024 and modular256 parse: fewer repeated lines."""
+    circuit = random_circuit(64, 10, seed=0)
+    got, _, _ = benchmark.pedantic(parse_qasm, (emit_qasm(circuit),), rounds=5, iterations=1)
+    assert got == circuit
+
+
 def test_emit_qasm(benchmark):
     text = benchmark.pedantic(emit_qasm, (_CIRCUIT,), rounds=5, iterations=1)
     assert text == _TEXT
@@ -71,3 +78,11 @@ def test_min_weight_perfect_matching(benchmark, k):
 
     got = benchmark.pedantic(place, rounds=20, iterations=1)
     assert [r for _, r in got] == refix_min_weight_pm(cost)
+
+
+def test_min_weight_perfect_matching_ties(benchmark):
+    """Costs drawn from {0..3}, as on modular256, so most rows tie."""
+    rng = random.Random(3)
+    cost = np.array([[rng.randint(0, 3) for _ in range(32)] for _ in range(32)], dtype=float)
+    got = benchmark.pedantic(min_weight_perfect_matching, (cost,), rounds=20, iterations=1)
+    assert [r for _, r in got] == refix_min_weight_pm(cost.tolist())

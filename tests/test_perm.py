@@ -1,4 +1,6 @@
 """Partial permutation algebra."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +61,16 @@ class TestConstruction:
     def test_call_rejects_vertex_out_of_range(self, v):
         with pytest.raises(ValueError, match=rf"vertex {v} out of range \[0, 3\)"):
             PartialPermutation(3, [1, None, 0])(v)
+
+    @pytest.mark.parametrize("v", [1.5, "1", None])
+    def test_call_rejects_non_integer_vertex(self, v):
+        with pytest.raises(ValueError, match=rf"vertex {re.escape(repr(v))} is not an integer"):
+            PartialPermutation(3, [1, None, 0])(v)
+
+    # Vertices are read through operator.index, so a bool is its integer value.
+    def test_call_reads_bool_and_numpy_integer_as_int(self):
+        p = PartialPermutation(3, [1, None, 0])
+        assert p(False) == 1 and p(True) is None and p(np.int64(2)) == 0
 
     def test_dom_image_sizes_match(self):
         p = pp(5, {0: 3, 2: 1})

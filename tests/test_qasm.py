@@ -188,6 +188,38 @@ class TestSharing:
         assert [repr(g) for g in c.gates] == [repr(g) for g in parsed.gates]
 
 
+
+class TestRepeatedLines:
+    """A repeated parameterless gate line gives its first Gate without a new
+    match, and repeated one-operand digits give their first tuple.  Variants
+    of a line and lines with parameters are covered in TestSharing."""
+
+    def test_copies_of_one_line_are_one_gate(self):
+        c, _, _ = parse_qasm("qreg q[3];\n" + "cx q[0],q[2];\n" * 50)
+        assert len(c.gates) == 50 and c.gates[0] == Gate("cx", (0, 2))
+        assert all(g is c.gates[0] for g in c.gates)
+
+    def test_repeated_line_still_records_its_mapping(self):
+        text = ("qreg q[2];\ncx q[0],q[1]; // initial: q[0] -> v[3]\n"
+                "cx q[0],q[1]; // initial: q[1] -> v[4]\n"
+                "cx q[0],q[1]; // final: q[0] -> v[5]\n")
+        c, ini, fin = parse_qasm(text)
+        assert len(c.gates) == 3 and c.gates[0] is c.gates[1] is c.gates[2]
+        assert ini == {"q[0]": 3, "q[1]": 4} and fin == {"q[0]": 5}
+
+    def test_bad_line_after_repeats_names_its_own_line(self):
+        text = "qreg q[3];\n" + "cx q[0],q[2];\n" * 3 + "cx q[0],q[3];\ncx q[0],q[2];\n"
+        with pytest.raises(QasmError, match=re.escape("line 5: qubit index 3 out of range")):
+            parse_qasm(text)
+
+    def test_digit_variants_share_one_tuple(self):
+        c, _, _ = parse_qasm("qreg q[3];\nu(1,2,3) q[1];\nrz(1) q[01];\nrz(1) q[1];\n"
+                             "cx q[1],q[2];\nswap q[001],q[2];")
+        u, rz, rz1, cx, swap = c.gates
+        assert u.qubits is rz.qubits is rz1.qubits and u.qubits == (1,)
+        assert cx.qubits is swap.qubits and cx.qubits == (1, 2)
+
+
 _TOKENS = ["qreg q[3];", "qreg", "qreg q[", "]", "99999999999", "q[0]", "q[1]",
            "q[5]", "h", "x", "rz", "u", "cx", "swap", "ccx", "(", ")", ",", ";",
            " ", "\t", "\n", "//", "0.5", "-2", "1e3", "1e999", "nan", "inf", "abc",
