@@ -5,11 +5,14 @@ graphs and connection vector; the product vertex (i, j) flattens to i*n2 + j.
 """
 from __future__ import annotations
 
+import math
 from operator import index
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
+
+from .perm import read_count, read_vertex
 
 Edge = tuple[int, int]
 
@@ -25,6 +28,25 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _read_edge(u: int, v: int, n: int) -> Edge:
+    """The normalised edge of two distinct vertices in 0..n-1, else ValueError."""
+    try:
+        u, v = index(u), index(v)
+    except TypeError:
+        raise ValueError(f"edge ({u}, {v}) has a non-integer endpoint") from None
+    if u == v:
+        raise ValueError(f"self-loop at {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range")
+    return _norm_edge(u, v)
+
+
+def _check_cap(n: int, what: str) -> None:
+    if n > MAX_DIST_VERTICES:
+        raise ValueError(f"{what} of {n} vertices exceeds the cap of "
+                         f"{MAX_DIST_VERTICES} vertices")
+
+
 class ArchitectureGraph:
     """Simple connected graph, optionally tagged with structural kind.
 
@@ -37,24 +59,8 @@ class ArchitectureGraph:
                  factor1: "ArchitectureGraph | None" = None,
                  factor2: "ArchitectureGraph | None" = None,
                  vec: tuple[int, ...] | None = None):
-        try:
-            n = index(n)
-        except TypeError:
-            raise ValueError(f"vertex count {n!r} is not an integer") from None
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        self.n = n
-        self.edges: set[Edge] = set()
-        for u, v in edges:
-            try:
-                u, v = index(u), index(v)
-            except TypeError:
-                raise ValueError(f"edge ({u}, {v}) has a non-integer endpoint") from None
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            self.edges.add(_norm_edge(u, v))
+        self.n = n = read_count(n)
+        self.edges: set[Edge] = {_read_edge(u, v, n) for u, v in edges}
         self.kind = kind
         self.factor1 = factor1
         self.factor2 = factor2
@@ -96,9 +102,7 @@ class ArchitectureGraph:
         ``MAX_DIST_VERTICES`` vertices.
         """
         if self._dist is None:
-            if self.n > MAX_DIST_VERTICES:
-                raise ValueError(f"distance matrix of {self.n} vertices exceeds the cap of "
-                                 f"{MAX_DIST_VERTICES} vertices")
+            _check_cap(self.n, "distance matrix")
             d = self._closed_form_distances()
             if d is None:
                 adj = self._sparse_adjacency()
@@ -156,20 +160,10 @@ class ArchitectureGraph:
 
         Reads :meth:`distances`, so it raises the same ValueError when the
         graph is disconnected (even if s and t share a component) or has
-        more than ``MAX_DIST_VERTICES`` vertices.  A vertex that is not an
-        integer (read through ``operator.index``, so ``True`` is 1) or lies
-        outside 0..n-1 raises ValueError too.
+        more than ``MAX_DIST_VERTICES`` vertices.  Both vertices are read by
+        :func:`~qroute.perm.read_vertex`, which raises ValueError too.
         """
-        ends = []
-        for v in (s, t):
-            try:
-                v = index(v)
-            except TypeError:
-                raise ValueError(f"vertex {v!r} is not an integer") from None
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range [0, {self.n})")
-            ends.append(v)
-        s, t = ends
+        s, t = read_vertex(s, self.n), read_vertex(t, self.n)
         d = self.distances()
         path = [s]
         while path[-1] != t:
@@ -202,14 +196,8 @@ def hierarchical_product(g1: ArchitectureGraph, g2: ArchitectureGraph,
         raise ValueError(f"vec entries must be 0 or 1, got {tuple(vec)}")
     if not any(vec):
         raise ValueError("vec must have at least one 1 (graph would be disconnected)")
-    edges: set[Edge] = set()
-    for i in range(n1):
-        for (j, jp) in g2.edges:
-            edges.add(_norm_edge(i * n2 + j, i * n2 + jp))
-    for (i, ip) in g1.edges:
-        for j in range(n2):
-            if vec[j]:
-                edges.add(_norm_edge(i * n2 + j, ip * n2 + j))
+    edges = {(i * n2 + j, i * n2 + jp) for i in range(n1) for j, jp in g2.edges}
+    edges |= {(i * n2 + j, ip * n2 + j) for i, ip in g1.edges for j in range(n2) if vec[j]}
     g = ArchitectureGraph(n1 * n2, edges, kind=kind, factor1=g1, factor2=g2,
                           vec=tuple(vec))
     if not g.is_connected():
@@ -231,30 +219,34 @@ def modular_graph(n1: int, n2: int) -> ArchitectureGraph:
                                 vec, kind="modular")
 
 
+# Each spec kind's builder and the shape of its sizes.
+_SPECS = {"path": (path_graph, "N"), "complete": (complete_graph, "N"),
+          "grid": (grid_graph, "AxB"), "modular": (modular_graph, "AxB")}
+
+
 def build_architecture(spec: str) -> ArchitectureGraph:
     """Build a graph from a spec string.
 
     Formats: ``path:N``, ``complete:N``, ``grid:RxC``, ``modular:MxK``,
-    ``hier:<file>`` (see :func:`parse_hier_file`).
+    ``hier:<file>`` (see :func:`parse_hier_file`); sizes are decimal
+    integers, at most ``MAX_DIST_VERTICES`` vertices in all.
     """
     if ":" not in spec:
         raise ValueError(f"bad architecture spec {spec!r}: expected kind:params")
     kind, _, params = spec.partition(":")
     kind = kind.strip().lower()
-    if kind == "path":
-        return path_graph(int(params))
-    if kind == "complete":
-        return complete_graph(int(params))
-    if kind in ("grid", "modular"):
-        parts = params.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError(f"bad {kind} parameters {params!r}: expected AxB")
-        a, b = int(parts[0]), int(parts[1])
-        return grid_graph(a, b) if kind == "grid" else modular_graph(a, b)
     if kind == "hier":
         with open(params, "r", encoding="utf-8") as fh:
             return parse_hier_file(fh.read())
-    raise ValueError(f"unknown architecture kind {kind!r}")
+    if kind not in _SPECS:
+        raise ValueError(f"unknown architecture kind {kind!r}")
+    build, shape = _SPECS[kind]
+    parts = params.lower().split("x")
+    if len(parts) != len(shape.split("x")) or not all(p.strip().isdecimal() for p in parts):
+        raise ValueError(f"bad {kind} parameters {params!r}: expected {shape}")
+    sizes = [int(p) for p in parts]
+    _check_cap(math.prod(sizes), "architecture")
+    return build(*sizes)
 
 
 def parse_hier_file(text: str) -> ArchitectureGraph:
@@ -268,11 +260,12 @@ def parse_hier_file(text: str) -> ArchitectureGraph:
         e1 <u> <v>      edge of the first factor
         e2 <u> <v>      edge of the second factor
 
-    n1, n2 and v must each appear exactly once; n1 and n2 are at least 1.
+    n1, n2 and v must each appear exactly once; n1 and n2 are at least 1, and
+    n1 * n2 is at most ``MAX_DIST_VERTICES``.  An error on a line names it.
     """
     arity = {"n1": 1, "n2": 1, "v": None, "e1": 2, "e2": 2}  # None: any count
     once: dict[str, tuple[int, ...]] = {}
-    edges: dict[str, set[Edge]] = {"e1": set(), "e2": set()}
+    edge_lines: list[tuple[int, str, tuple[int, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -284,8 +277,8 @@ def parse_hier_file(text: str) -> ArchitectureGraph:
             if arity[key] is not None and len(args) != arity[key]:
                 raise ValueError(f"{key} takes {arity[key]} value(s), got {len(args)}")
             values = tuple(int(x) for x in args)
-            if key in edges:
-                edges[key].add(_norm_edge(*values))
+            if key in ("e1", "e2"):
+                edge_lines.append((lineno, key, values))
             elif key in once:
                 raise ValueError(f"{key} given twice")
             elif key in ("n1", "n2") and values[0] < 1:
@@ -297,6 +290,13 @@ def parse_hier_file(text: str) -> ArchitectureGraph:
     if once.keys() != {"n1", "n2", "v"}:
         raise ValueError("hier file must define n1, n2 and v")
     (n1,), (n2,), vec = once["n1"], once["n2"], once["v"]
+    _check_cap(n1 * n2, "architecture")
+    edges: dict[str, set[Edge]] = {"e1": set(), "e2": set()}
+    for lineno, key, (u, v) in edge_lines:
+        try:
+            edges[key].add(_read_edge(u, v, n1 if key == "e1" else n2))
+        except ValueError as exc:
+            raise ValueError(f"hier file line {lineno}: {exc}") from exc
     return hierarchical_product(_detect_factor(n1, edges["e1"]),
                                 _detect_factor(n2, edges["e2"]), vec)
 

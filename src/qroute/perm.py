@@ -11,28 +11,46 @@ from operator import index
 from typing import Iterable, Iterator
 
 
+def read_count(n: int) -> int:
+    """A vertex count read through ``operator.index``; ValueError unless it is an int >= 0."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise ValueError(f"vertex count {n!r} is not an integer") from None
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    return n
+
+
+def read_vertex(v: int, n: int, what: str = "vertex") -> int:
+    """A vertex of ``{0, .., n-1}`` read through ``operator.index`` (``True``
+    is vertex 1); ValueError naming it as ``what`` for 1.5, ``'2'`` or -1."""
+    try:
+        v = index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer") from None
+    if not 0 <= v < n:
+        raise ValueError(f"{what} {v} out of range [0, {n})")
+    return v
+
+
 class PartialPermutation:
     """Injective partial self-map of ``{0, .., n-1}``."""
 
     __slots__ = ("n", "forward")
 
     def __init__(self, n: int, forward: Iterable[int | None] | None = None):
-        self.n = n
+        self.n = n = read_count(n)
         self.forward: list[int | None] = list(forward) if forward is not None else [None] * n
         if len(self.forward) != n:
             raise ValueError(f"forward has length {len(self.forward)}, expected {n}")
-        seen = bytearray(n)  # indexed by target, so a non-integer one raises TypeError
+        seen = bytearray(n)
         for t in self.forward:
-            if t is None:
-                continue
-            try:
-                if not (0 <= t < n):
-                    raise ValueError(f"target {t} out of range [0, {n})")
+            if t is not None:
+                t = read_vertex(t, n, "target")
                 if seen[t]:
                     raise ValueError(f"target {t} repeated; mapping is not injective")
-            except TypeError:
-                raise ValueError(f"target {t!r} is not an integer") from None
-            seen[t] = 1
+                seen[t] = 1
 
     @classmethod
     def identity(cls, n: int) -> "PartialPermutation":
@@ -40,14 +58,9 @@ class PartialPermutation:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict[int, int]) -> "PartialPermutation":
-        fwd: list[int | None] = [None] * n
+        fwd: list[int | None] = [None] * read_count(n)
         for s, t in mapping.items():
-            try:
-                if not (0 <= s < n):
-                    raise ValueError(f"source {s} out of range [0, {n})")
-                fwd[s] = t  # a list index, so a non-integer source raises TypeError
-            except TypeError:
-                raise ValueError(f"source {s!r} is not an integer") from None
+            fwd[read_vertex(s, n, "source")] = t
         return cls(n, fwd)
 
     def copy(self) -> "PartialPermutation":
@@ -65,15 +78,8 @@ class PartialPermutation:
         return f"PartialPermutation(n={self.n}, {{{pairs}}})"
 
     def __call__(self, v: int) -> int | None:
-        """Target of vertex v (None if unmapped); v is read through
-        ``operator.index``, so ``True`` is vertex 1 and 1.5 is refused."""
-        try:
-            v = index(v)
-        except TypeError:
-            raise ValueError(f"vertex {v!r} is not an integer") from None
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        return self.forward[v]
+        """Target of vertex v (None if unmapped); v is read by :func:`read_vertex`."""
+        return self.forward[read_vertex(v, self.n)]
 
     def items(self) -> Iterator[tuple[int, int]]:
         for s, t in enumerate(self.forward):
@@ -108,10 +114,9 @@ class PartialPermutation:
 
         An unmapped entry models "no token" and transfers as undefined.
         """
+        u, v = read_vertex(u, self.n), read_vertex(v, self.n)
         if u == v:
             raise ValueError("swap endpoints must differ")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"swap ({u}, {v}) out of range [0, {self.n})")
         f = self.forward
         f[u], f[v] = f[v], f[u]
 

@@ -59,7 +59,7 @@ def parse_qasm(text: str) -> tuple[Circuit, dict[str, int] | None, dict[str, int
     A gate line whose code part repeats an earlier parameterless gate line
     appends that line's ``Gate`` without matching or checking it again, and
     the index digits of a one-operand statement seen before give their tuple
-    without converting or checking them.
+    without converting or range-checking them.
     """
     # Tables that live for this call only (a rejected line ends it).
     # ``share`` maps each operand tuple and parameterless gate to its first
@@ -127,70 +127,63 @@ def _qreg_size(stmt: str, lineno: int) -> int:
 
 def _gate(m: re.Match, lineno: int, n_qubits: int, singles: dict[str, tuple[int]],
           share: Callable[[tuple, tuple], tuple]) -> Gate:
-    """The gate a _GATE match denotes, once every check has passed.
+    """The gate a _GATE match denotes, or the QasmError of its first failed check.
 
+    The checks run in this order: name, parameters, finite parameters,
+    parameter count, index length, qubit count, range, distinct operands.
     ``singles`` maps the index digits of each one-operand list seen so far
-    to its tuple, and ``share`` is the ``setdefault`` of the caller's table:
-    it returns the first instance of an equal operand tuple or parameterless
-    gate.
+    to its tuple, which has passed the range check, and ``share`` is the
+    ``setdefault`` of the caller's table: it returns the first instance of an
+    equal operand tuple or parameterless gate.
     """
     name, raw_params, a, b = m.groups()
     name = name.lower()
-    ok = True
-    try:
-        params = tuple(map(float, raw_params.split(","))) if raw_params else ()
-        if b is not None:
-            qa, qb = int(a), int(b)
-            qubits = (qa, qb)
-            ok = qa < n_qubits and qb < n_qubits and qa != qb
-            qubits = share(qubits, qubits)
-        elif (qubits := singles.get(a)) is None:
-            qa = int(a)
-            qubits = (qa,)
-            ok = qa < n_qubits  # if not, the parse ends here
-            qubits = singles[a] = share(qubits, qubits)
-    except ValueError:  # a bad float, or an index with more digits than int() converts
-        _reject(m.group(), lineno, n_qubits, m)
-    if (not ok or GATE_ARITY.get(name) != (len(params), len(qubits))
-            or (params and not all(map(math.isfinite, params)))):
-        _reject(m.group(), lineno, n_qubits, m)
+    if (arity := GATE_ARITY.get(name)) is None:
+        _reject(name, lineno, n_qubits)
+    n_params, n_args = arity
+    params = ()
+    if raw_params:
+        try:
+            params = tuple(map(float, raw_params.split(",")))
+        except ValueError:
+            raise QasmError(lineno, f"bad parameters {raw_params!r}") from None
+        if not all(map(math.isfinite, params)):
+            raise QasmError(lineno, f"parameters {raw_params!r} are not finite")
+    if len(params) != n_params:
+        raise QasmError(lineno, f"{name} expects {n_params} parameters")
+    fresh = b is not None or (qubits := singles.get(a)) is None
+    if fresh:
+        qubits = ((_index(a, lineno, "qubit"),) if b is None
+                  else (_index(a, lineno, "qubit"), _index(b, lineno, "qubit")))
+    if len(qubits) != n_args:
+        raise QasmError(lineno, f"{name} expects {n_args} qubit arguments")
+    if fresh:
+        for q in qubits:
+            if q >= n_qubits:
+                raise QasmError(lineno, f"qubit index {q} out of range")
+        if b is not None and qubits[0] == qubits[1]:
+            raise QasmError(lineno, f"{name} operands must differ")
+        qubits = share(qubits, qubits)
+        if b is None:
+            singles[a] = qubits
     # The checks above include Gate's own, so the tuple is built without them.
     g = tuple.__new__(Gate, (name, qubits, params))
     return g if params else share(g, g)
 
 
-def _reject(stmt: str, lineno: int, n_qubits: int | None, m: re.Match | None = None) -> NoReturn:
-    """Raise the QasmError that names what is wrong with a statement.
+def _reject(stmt: str, lineno: int, n_qubits: int | None) -> NoReturn:
+    """Raise the QasmError that names a statement by its leading word.
 
-    ``m`` is the statement's _GATE match, or None where _GATE cannot match it.
-    ``n_qubits`` is None before the qreg header.
+    ``stmt`` is a statement _GATE cannot match, or the name of a match that
+    is not a gate.  ``n_qubits`` is None before the qreg header.
     """
-    name = (m.group(1) if m else stmt[:len(stmt) - len(stmt.lstrip(ascii_letters))]).lower()
+    name = stmt[:len(stmt) - len(stmt.lstrip(ascii_letters))].lower()
     if name in _UNSUPPORTED:
         raise QasmError(lineno, f"unsupported statement {name!r}")
     if n_qubits is None:
         raise QasmError(lineno, "statement before qreg header")
     if name and name not in GATE_ARITY:
         raise QasmError(lineno, f"unknown gate {name!r}")
-    if m:
-        n_params, n_args = GATE_ARITY[name]
-        raw_params = m.group(2)
-        try:
-            params = tuple(map(float, raw_params.split(","))) if raw_params else ()
-        except ValueError:
-            raise QasmError(lineno, f"bad parameters {raw_params!r}") from None
-        if not all(map(math.isfinite, params)):
-            raise QasmError(lineno, f"parameters {raw_params!r} are not finite")
-        if len(params) != n_params:
-            raise QasmError(lineno, f"{name} expects {n_params} parameters")
-        qubits = [_index(d, lineno, "qubit") for d in m.group(3, 4) if d is not None]
-        if len(qubits) != n_args:
-            raise QasmError(lineno, f"{name} expects {n_args} qubit arguments")
-        for q in qubits:
-            if q >= n_qubits:
-                raise QasmError(lineno, f"qubit index {q} out of range")
-        if n_args == 2 and qubits[0] == qubits[1]:
-            raise QasmError(lineno, f"{name} operands must differ")
     raise QasmError(lineno, f"cannot parse {stmt!r}")
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
+from qroute import graphs
 from qroute.graphs import (MAX_DIST_VERTICES, ArchitectureGraph, build_architecture,
                            complete_graph, grid_graph, hierarchical_product,
                            induced_subgraph, modular_graph, parse_hier_file, path_graph)
@@ -78,6 +79,39 @@ class TestBuilders:
     ], ids=["e1-extra-token", "e2-missing-token", "n1-extra-token", "n2-missing-value",
             "n1-repeated", "n2-repeated", "v-repeated", "n1-zero", "n2-zero", "n1-negative"])
     def test_hier_file_rejects_bad_arity_and_repeats(self, text, message):
+        with pytest.raises(ValueError, match=f"hier file {message}"):
+            parse_hier_file(text)
+
+    @pytest.mark.parametrize("spec", ["grid:3x", "path:abc", "modular:2xb", "complete:1.5",
+                                      "grid:-1x3", "path:2x2"])
+    def test_spec_with_bad_sizes_names_them(self, spec):
+        kind, _, params = spec.partition(":")
+        with pytest.raises(ValueError, match=f"bad {kind} parameters {re.escape(repr(params))}"):
+            build_architecture(spec)
+
+    @pytest.mark.parametrize("build,arg,n", [
+        (build_architecture, "path:4097", 4097),
+        (build_architecture, "grid:65x64", 4160),
+        (build_architecture, "modular:200x200", 40000),
+        (parse_hier_file, "n1 65\nn2 64\nv" + " 1" * 64 + "\ne1 0 1\ne2 0 1\n", 4160),
+    ], ids=["path", "grid", "modular", "hier"])
+    def test_architecture_over_the_cap_refused_before_any_graph(self, build, arg, n, monkeypatch):
+        assert build_architecture("grid:64x64").n == MAX_DIST_VERTICES
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(graphs, "ArchitectureGraph", no_graph)
+        with pytest.raises(ValueError, match=f"architecture of {n} vertices exceeds the cap of "
+                                             f"{MAX_DIST_VERTICES} vertices"):
+            build(arg)
+
+    @pytest.mark.parametrize("text,message", [
+        ("n1 2\nn2 2\nv 1 1\ne1 0 5\ne2 0 1\n", r"line 4: edge \(0, 5\) out of range"),
+        ("n1 2\nn2 2\nv 1 1\ne1 0 1\ne2 1 1\n", "line 5: self-loop at 1"),
+        ("e2 0 2\nn1 2\nn2 2\nv 1 1\ne1 0 1\n", r"line 1: edge \(0, 2\) out of range"),
+    ], ids=["out-of-range", "self-loop", "edge-before-size"])
+    def test_hier_file_edge_errors_name_their_line(self, text, message):
         with pytest.raises(ValueError, match=f"hier file {message}"):
             parse_hier_file(text)
 

@@ -51,6 +51,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             PartialPermutation.from_mapping(3, mapping)
 
+    @pytest.mark.parametrize("make", [lambda n: PartialPermutation(n, [None, None]),
+                                      lambda n: PartialPermutation.from_mapping(n, {})],
+                             ids=["constructor", "from_mapping"])
+    def test_rejects_non_integer_size(self, make):
+        with pytest.raises(ValueError, match=r"vertex count 2\.0 is not an integer"):
+            make(2.0)
+
     def test_accepts_numpy_integers(self):
         p = PartialPermutation(3, [np.int64(2), np.int32(0), None])
         assert p.forward == [2, 0, None]
@@ -175,6 +182,17 @@ class TestSwap:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             pp(2, {}).apply_swap(0, 2)
+
+    @pytest.mark.parametrize("u,v,message", [
+        (0.5, 1, "vertex 0.5 is not an integer"),
+        (0, 1.0, "vertex 1.0 is not an integer"),
+        (-1, 0, r"vertex -1 out of range \[0, 2\)"),
+    ], ids=["fractional", "integral-float", "negative"])
+    def test_rejects_bad_vertex(self, u, v, message):
+        p = pp(2, {0: 1})
+        with pytest.raises(ValueError, match=message):
+            p.apply_swap(u, v)
+        assert p == pp(2, {0: 1})
 
     @given(random_partial(), st.integers(0, 7), st.integers(0, 7))
     def test_swap_preserves_target_multiset(self, p, u, v):

@@ -31,6 +31,12 @@ def test_rejects_bad_routing(steps, message):
         check_routing(path_graph(3), REVERSAL_P3, steps)
 
 
+# has_edge finds (0.0, 1.0), since 0.0 == 0; the swap then refuses the float.
+def test_rejects_float_vertices():
+    with pytest.raises(ValueError, match="vertex 0.0 is not an integer"):
+        check_routing(path_graph(3), PartialPermutation(3, [1, 0, 2]), [[(0.0, 1.0)]])
+
+
 def test_rejects_size_mismatch():
     with pytest.raises(ValueError, match="permutation on 2 vertices, graph on 3"):
         check_routing(path_graph(3), PartialPermutation(2, [1, 0]), [[(0, 1)]])

@@ -166,6 +166,7 @@ class TestSharing:
         pytest.param(f"h q[{'9' * 5000}];", "line 4: qubit index of 5000 digits is too long",
                      id="qubit index too long for int()"),
         ("h q[0]garbage;", "line 4: cannot parse 'h q[0]garbage'"),
+        ("cx q[0];", "line 4: cx expects 2 qubit arguments"),
     ])
     def test_rejects_after_shared_gates_as_before(self, stmt, message):
         text = f"qreg q[2];\ncx q[0],q[1];\nh q[0];\n{stmt}\ncx q[0],q[1];"
