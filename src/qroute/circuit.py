@@ -81,11 +81,6 @@ class GateWeights:
     cnot: int = 10
     swap: int = 30
 
-    def of(self, gate: Gate) -> int:
-        if len(gate.qubits) == 2:
-            return self.swap if gate.name == "swap" else self.cnot
-        return self.one_qubit
-
 
 DEFAULT_WEIGHTS = GateWeights()
 
@@ -170,21 +165,13 @@ class Metrics:
     weighted_depth: int
     counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def cnot_count(self) -> int:
-        return self.counts.get("cx", 0)
-
-    @property
-    def swap_count(self) -> int:
-        return self.counts.get("swap", 0)
-
 
 def weighted_metrics(circuit: Circuit, weights: GateWeights = DEFAULT_WEIGHTS) -> Metrics:
     """Weighted size (sum of gate weights) and weighted depth (max-weight DAG
     path, via per-qubit running maxima).
 
-    Each gate weighs what ``weights.of`` gives it, read here from the three
-    fields once per call.
+    A one-qubit gate weighs ``weights.one_qubit``, a ``swap`` ``weights.swap``
+    and any other two-qubit gate ``weights.cnot``; ``counts`` is gates per name.
     """
     one, cnot, swap = weights.one_qubit, weights.cnot, weights.swap
     size = 0

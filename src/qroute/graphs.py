@@ -6,6 +6,8 @@ graphs and connection vector; the product vertex (i, j) flattens to i*n2 + j.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from operator import index
 
 import numpy as np
@@ -48,23 +50,20 @@ def _check_cap(n: int, what: str) -> None:
 
 
 class ArchitectureGraph:
-    """Simple connected graph, optionally tagged with structural kind.
+    """Simple graph on vertices 0..n-1 with cached hop distances.
 
-    ``kind`` is one of ``path``, ``complete``, ``grid``, ``modular``,
-    ``hier`` or ``generic``.  The hierarchical kinds (grid, modular, hier)
-    carry ``factor1``, ``factor2`` and the 0/1 connection vector ``vec``.
+    A graph made here is ``generic``.  Only the builders below set ``kind``
+    (``path``, ``complete``, ``grid``, ``modular`` or ``hier``) and a product's
+    ``factor1``, ``factor2`` and 0/1 connection vector ``vec``, with their edges.
     """
 
-    def __init__(self, n: int, edges: set[Edge], kind: str = "generic",
-                 factor1: "ArchitectureGraph | None" = None,
-                 factor2: "ArchitectureGraph | None" = None,
-                 vec: tuple[int, ...] | None = None):
+    def __init__(self, n: int, edges: set[Edge]):
         self.n = n = read_count(n)
         self.edges: set[Edge] = {_read_edge(u, v, n) for u, v in edges}
-        self.kind = kind
-        self.factor1 = factor1
-        self.factor2 = factor2
-        self.vec = vec
+        self.kind = "generic"
+        self.factor1: ArchitectureGraph | None = None
+        self.factor2: ArchitectureGraph | None = None
+        self.vec: tuple[int, ...] | None = None
         self._dist: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -85,20 +84,16 @@ class ArchitectureGraph:
     def distances(self) -> np.ndarray:
         """All-pairs hop distances as int16, cached.
 
-        Paths, complete graphs and hierarchical products (those with factors)
-        get closed forms built from their factors' matrices; other graphs get
+        Paths, complete graphs and hierarchical products get closed forms,
+        the products' built from their factors' matrices; generic graphs get
         shortest-path calls on the sparse adjacency, one per block of rows.
-        A closed form is the metric of the graph the kind and factors
-        describe, so it is accepted only when its pairs at distance 1 are
-        exactly this graph's edges.
 
         Entries are at most 4095 (see ``MAX_DIST_VERTICES``), so a sum of up
         to 8 entries fits in int16.  Array reductions such as ``.sum()``
         widen by themselves; code that adds more entries elementwise, or sums
         numpy scalars with Python ``sum``, must widen first.
 
-        Raises ValueError when the graph is disconnected, when its edges
-        are not those its kind describes, or when it has more than
+        Raises ValueError when the graph is disconnected or has more than
         ``MAX_DIST_VERTICES`` vertices.
         """
         if self._dist is None:
@@ -113,11 +108,6 @@ class ArchitectureGraph:
                     if np.isinf(block).any():
                         raise ValueError("distance matrix requires a connected graph")
                     d[start:stop] = block
-            else:
-                adj = self._sparse_adjacency()
-                if np.count_nonzero(d == 1) != adj.nnz or not (d[adj.nonzero()] == 1).all():
-                    raise ValueError(f"edges do not form the {self.kind} graph "
-                                     "its kind and factors describe")
             self._dist = d
         return self._dist
 
@@ -132,8 +122,6 @@ class ArchitectureGraph:
         """
         g1, g2 = self.factor1, self.factor2
         if g1 is not None and g2 is not None:
-            if self.vec is None or len(self.vec) != g2.n or g1.n * g2.n != self.n:
-                raise ValueError(f"factors and vec do not form a graph of {self.n} vertices")
             d1, d2 = g1.distances(), g2.distances()
             vec = np.array(self.vec, dtype=bool)
             via = d2.copy()
@@ -175,33 +163,43 @@ class ArchitectureGraph:
 def path_graph(n: int) -> ArchitectureGraph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return ArchitectureGraph(n, {(i, i + 1) for i in range(n - 1)}, kind="path")
+    g = ArchitectureGraph(n, {(i, i + 1) for i in range(n - 1)})
+    g.kind = "path"
+    return g
 
 
 def complete_graph(n: int) -> ArchitectureGraph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    return ArchitectureGraph(n, edges, kind="complete")
+    g = ArchitectureGraph(n, {(i, j) for i in range(n) for j in range(i + 1, n)})
+    g.kind = "complete"
+    return g
 
 
-def hierarchical_product(g1: ArchitectureGraph, g2: ArchitectureGraph,
-                         vec: tuple[int, ...], kind: str = "hier") -> ArchitectureGraph:
-    """Product with vertex set V1 x V2: copies of g2 per V1-vertex, plus a
-    copy of g1 joining position-j vertices wherever vec[j] = 1."""
-    n1, n2 = g1.n, g2.n
+def _read_vec(vec: Iterable[int], n2: int) -> tuple[int, ...]:
+    """A connection vector of n2 entries, each 0 or 1 and at least one 1, else ValueError."""
+    vec = tuple(vec)
     if len(vec) != n2:
         raise ValueError(f"vec has length {len(vec)}, expected {n2}")
     if any(x not in (0, 1) for x in vec):
-        raise ValueError(f"vec entries must be 0 or 1, got {tuple(vec)}")
+        raise ValueError(f"vec entries must be 0 or 1, got {vec}")
     if not any(vec):
         raise ValueError("vec must have at least one 1 (graph would be disconnected)")
+    return vec
+
+
+def hierarchical_product(g1: ArchitectureGraph, g2: ArchitectureGraph,
+                         vec: Iterable[int], kind: str = "hier") -> ArchitectureGraph:
+    """Product with vertex set V1 x V2: copies of g2 per V1-vertex, plus a
+    copy of g1 joining position-j vertices wherever vec[j] = 1."""
+    n1, n2 = g1.n, g2.n
+    vec = _read_vec(vec, n2)
     edges = {(i * n2 + j, i * n2 + jp) for i in range(n1) for j, jp in g2.edges}
     edges |= {(i * n2 + j, ip * n2 + j) for i, ip in g1.edges for j in range(n2) if vec[j]}
-    g = ArchitectureGraph(n1 * n2, edges, kind=kind, factor1=g1, factor2=g2,
-                          vec=tuple(vec))
+    g = ArchitectureGraph(n1 * n2, edges)
     if not g.is_connected():
         raise ValueError("hierarchical product is disconnected")
+    g.kind, g.factor1, g.factor2, g.vec = kind, g1, g2, vec
     return g
 
 
@@ -264,14 +262,14 @@ def parse_hier_file(text: str) -> ArchitectureGraph:
     n1 * n2 is at most ``MAX_DIST_VERTICES``.  An error on a line names it.
     """
     arity = {"n1": 1, "n2": 1, "v": None, "e1": 2, "e2": 2}  # None: any count
-    once: dict[str, tuple[int, ...]] = {}
+    once: dict[str, tuple[int, tuple[int, ...]]] = {}  # key -> (line number, values)
     edge_lines: list[tuple[int, str, tuple[int, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, *args = line.split()
-        try:
+        with _on_line(lineno):
             if key not in arity:
                 raise ValueError(f"unknown directive {key!r}")
             if arity[key] is not None and len(args) != arity[key]:
@@ -284,43 +282,34 @@ def parse_hier_file(text: str) -> ArchitectureGraph:
             elif key in ("n1", "n2") and values[0] < 1:
                 raise ValueError(f"{key} is {values[0]}; a factor needs at least one vertex")
             else:
-                once[key] = values
-        except ValueError as exc:
-            raise ValueError(f"hier file line {lineno}: {exc}") from exc
+                once[key] = (lineno, values)
     if once.keys() != {"n1", "n2", "v"}:
         raise ValueError("hier file must define n1, n2 and v")
-    (n1,), (n2,), vec = once["n1"], once["n2"], once["v"]
+    (_, (n1,)), (_, (n2,)), (v_line, vec) = once["n1"], once["n2"], once["v"]
     _check_cap(n1 * n2, "architecture")
+    with _on_line(v_line):
+        vec = _read_vec(vec, n2)
     edges: dict[str, set[Edge]] = {"e1": set(), "e2": set()}
     for lineno, key, (u, v) in edge_lines:
-        try:
+        with _on_line(lineno):
             edges[key].add(_read_edge(u, v, n1 if key == "e1" else n2))
-        except ValueError as exc:
-            raise ValueError(f"hier file line {lineno}: {exc}") from exc
     return hierarchical_product(_detect_factor(n1, edges["e1"]),
                                 _detect_factor(n2, edges["e2"]), vec)
 
 
+@contextmanager
+def _on_line(lineno: int) -> Iterator[None]:
+    """Prefix a ValueError raised in the block with its hier-file line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"hier file line {lineno}: {exc}") from exc
+
+
 def _detect_factor(n: int, edges: set[Edge]) -> ArchitectureGraph:
-    """Tag a factor as path/complete when its edge set matches exactly."""
+    """The path or complete graph on n >= 1 vertices if these are its edges, else generic."""
     if edges == {(i, i + 1) for i in range(n - 1)}:
-        return ArchitectureGraph(n, edges, kind="path")
-    if len(edges) == n * (n - 1) // 2 and n >= 1:
-        return ArchitectureGraph(n, edges, kind="complete")
-    g = ArchitectureGraph(n, edges, kind="generic")
-    if not g.is_connected():
-        raise ValueError("factor graph is disconnected")
-    return g
-
-
-def induced_subgraph(g: ArchitectureGraph, vertices: set[int]) -> tuple[ArchitectureGraph, list[int]]:
-    """Vertex-induced subgraph, re-indexed densely.
-
-    Returns the subgraph (kind ``generic``) and the list mapping new index ->
-    original vertex.  The result may be disconnected; callers that need
-    connectivity must check.
-    """
-    keep = sorted(vertices)
-    index = {v: i for i, v in enumerate(keep)}
-    edges = {(index[u], index[v]) for u, v in g.edges if u in index and v in index}
-    return ArchitectureGraph(len(keep), edges), keep
+        return path_graph(n)
+    if len(edges) == n * (n - 1) // 2:
+        return complete_graph(n)
+    return ArchitectureGraph(n, edges)

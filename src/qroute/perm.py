@@ -53,10 +53,6 @@ class PartialPermutation:
                 seen[t] = 1
 
     @classmethod
-    def identity(cls, n: int) -> "PartialPermutation":
-        return cls(n, list(range(n)))
-
-    @classmethod
     def from_mapping(cls, n: int, mapping: dict[int, int]) -> "PartialPermutation":
         fwd: list[int | None] = [None] * read_count(n)
         for s, t in mapping.items():
@@ -92,9 +88,6 @@ class PartialPermutation:
     def image(self) -> list[int]:
         return [t for t in self.forward if t is not None]
 
-    def is_total(self) -> bool:
-        return all(t is not None for t in self.forward)
-
     def is_resolved(self) -> bool:
         """True iff every mapped vertex already sits on its destination."""
         return all(t is None or t == s for s, t in enumerate(self.forward))
@@ -102,12 +95,6 @@ class PartialPermutation:
     def key(self) -> tuple[int | None, ...]:
         """Hashable snapshot, usable as a memoization key or set member."""
         return tuple(self.forward)
-
-    def inverse(self) -> "PartialPermutation":
-        fwd: list[int | None] = [None] * self.n
-        for s, t in self.items():
-            fwd[t] = s
-        return PartialPermutation(self.n, fwd)
 
     def apply_swap(self, u: int, v: int) -> None:
         """Exchange the tokens on vertices ``u`` and ``v`` in place.
@@ -128,33 +115,3 @@ class PartialPermutation:
         fwd = [t if t is not None else next(free) for t in self.forward]
         return PartialPermutation(self.n, fwd)
 
-
-def compose(f: PartialPermutation, g: PartialPermutation) -> PartialPermutation:
-    """Return ``f after g``: defined at x iff x in dom(g) and g(x) in dom(f)."""
-    if f.n != g.n:
-        raise ValueError(f"size mismatch: {f.n} != {g.n}")
-    fwd: list[int | None] = [None] * g.n
-    for x, gx in g.items():
-        fgx = f.forward[gx]
-        if fgx is not None:
-            fwd[x] = fgx
-    return PartialPermutation(g.n, fwd)
-
-
-def union(f: PartialPermutation, g: PartialPermutation) -> PartialPermutation:
-    """Disjoint union of two partial permutations.
-
-    Requires disjoint domains and disjoint images, which keeps the result
-    injective.
-    """
-    if f.n != g.n:
-        raise ValueError(f"size mismatch: {f.n} != {g.n}")
-    fwd = list(f.forward)
-    f_image = set(f.image())
-    for s, t in g.items():
-        if fwd[s] is not None:
-            raise ValueError(f"domains intersect at {s}")
-        if t in f_image:
-            raise ValueError(f"images intersect at {t}")
-        fwd[s] = t
-    return PartialPermutation(f.n, fwd)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..graphs import ArchitectureGraph, Edge
-from ..perm import PartialPermutation
+from ..perm import PartialPermutation, read_vertex
 
 
 def check_routing(graph: ArchitectureGraph, pp: PartialPermutation,
@@ -24,7 +24,9 @@ def check_routing(graph: ArchitectureGraph, pp: PartialPermutation,
     tokens = pp.copy()
     for i, step in enumerate(steps):
         used: set[int] = set()
+        what = f"step {i}: vertex"
         for u, v in step:
+            u, v = read_vertex(u, graph.n, what), read_vertex(v, graph.n, what)
             if not graph.has_edge(u, v):
                 raise ValueError(f"step {i}: ({u}, {v}) is not an edge")
             if u in used or v in used:

@@ -11,9 +11,19 @@ from scipy.sparse.csgraph import shortest_path
 from qroute import graphs
 from qroute.graphs import (MAX_DIST_VERTICES, ArchitectureGraph, build_architecture,
                            complete_graph, grid_graph, hierarchical_product,
-                           induced_subgraph, modular_graph, parse_hier_file, path_graph)
+                           modular_graph, parse_hier_file, path_graph)
 
 from oracles import connected_small_graphs
+
+
+# Hier files whose factors come out path, complete and generic.
+HIER_FILE_GRAPHS = [
+    parse_hier_file("n1 3\nn2 4\nv 0 1 0 1\ne1 0 1\ne1 1 2\n"
+                    "e2 0 1\ne2 0 2\ne2 0 3\ne2 1 2\ne2 1 3\ne2 2 3\n"),
+    parse_hier_file("n1 3\nn2 5\nv 0 0 1 0 0\ne1 0 1\ne1 1 2\ne1 0 2\n"
+                    "e2 0 1\ne2 1 2\ne2 2 3\ne2 3 4\ne2 4 0\n"),
+    parse_hier_file("n1 4\nn2 3\nv 1 0 0\ne1 0 1\ne1 0 2\ne1 0 3\ne2 1 2\ne2 0 1\n"),
+]
 
 
 class TestBuilders:
@@ -76,8 +86,11 @@ class TestBuilders:
         ("n1 0\nn2 2\nv 1 1\ne2 0 1\n", "line 1: n1 is 0; a factor needs at least one vertex"),
         ("n1 2\nn2 0\nv\ne1 0 1\n", "line 2: n2 is 0; a factor needs at least one vertex"),
         ("n1 -1\nn2 2\nv 1 1\ne2 0 1\n", "line 1: n1 is -1; a factor needs"),
+        ("n1 2\nn2 2\nv 1 0 1\ne1 0 1\ne2 0 1\n", "line 3: vec has length 3, expected 2"),
+        ("v 1 2\nn1 2\nn2 2\ne1 0 1\ne2 0 1\n", r"line 1: vec entries must be 0 or 1, got \(1, 2\)"),
     ], ids=["e1-extra-token", "e2-missing-token", "n1-extra-token", "n2-missing-value",
-            "n1-repeated", "n2-repeated", "v-repeated", "n1-zero", "n2-zero", "n1-negative"])
+            "n1-repeated", "n2-repeated", "v-repeated", "n1-zero", "n2-zero", "n1-negative",
+            "v-too-long", "v-entry-2"])
     def test_hier_file_rejects_bad_arity_and_repeats(self, text, message):
         with pytest.raises(ValueError, match=f"hier file {message}"):
             parse_hier_file(text)
@@ -146,6 +159,17 @@ class TestBuilders:
         g = parse_hier_file(text)
         assert g.n == 6 and len(g.edges) == 6
         assert g.factor1.kind == "path" and g.factor2.kind == "path"
+
+    @pytest.mark.parametrize("text", ["n1 2\nn2 3\nv 1 1 1\ne1 0 1\ne2 0 1\n",
+                                      "n1 3\nn2 2\nv 1 1\ne1 1 2\ne2 0 1\n"],
+                             ids=["e2", "e1"])
+    def test_hier_file_with_a_disconnected_factor_rejected(self, text):
+        with pytest.raises(ValueError, match="hierarchical product is disconnected"):
+            parse_hier_file(text)
+
+    def test_hier_file_factor_kinds(self):
+        assert [(g.factor1.kind, g.factor2.kind) for g in HIER_FILE_GRAPHS] == [
+            ("path", "complete"), ("complete", "generic"), ("generic", "path")]
 
 
 class TestDistances:
@@ -271,21 +295,6 @@ class TestDistances:
             g.shortest_path(s, t)
 
 
-class TestInducedSubgraph:
-    def test_full_vertex_set(self):
-        g = grid_graph(2, 2)
-        sub, idx = induced_subgraph(g, set(range(4)))
-        assert sub.edges == g.edges and idx == [0, 1, 2, 3]
-
-    def test_isolated_vertices(self):
-        sub, idx = induced_subgraph(path_graph(3), {0, 2})
-        assert sub.n == 2 and sub.edges == set()
-
-    def test_grid_corner(self):
-        sub, idx = induced_subgraph(grid_graph(2, 2), {0, 1, 2})
-        assert sub.edges == {(0, 1), (0, 2)}  # a path of 3 vertices
-
-
 class TestClosedFormDistances:
     """Distances of path, complete and product graphs come from closed forms."""
 
@@ -297,23 +306,13 @@ class TestClosedFormDistances:
         hierarchical_product(complete_graph(3), ArchitectureGraph(5, {(0, 1), (1, 2), (2, 3),
                                                                       (3, 4), (4, 0), (0, 2)}),
                              (0, 0, 1, 0, 0)),
+        *(pytest.param(build_architecture(spec), id=spec)
+          for spec in ["path:7", "complete:5", "grid:3x5", "modular:4x3"]),
+        *(pytest.param(g, id=f"hier-file-{g.factor1.kind}-{g.factor2.kind}")
+          for g in HIER_FILE_GRAPHS),
     ], ids=repr)
     def test_equal_csgraph(self, g):
         expect = shortest_path(g._sparse_adjacency(), unweighted=True).astype(np.int64)
         d = g.distances()
         assert d.dtype == np.int16
         assert np.array_equal(d, expect)
-
-    @pytest.mark.parametrize("g", [
-        ArchitectureGraph(3, {(0, 1)}, kind="path"),
-        ArchitectureGraph(3, {(0, 1), (1, 2)}, kind="complete"),
-        ArchitectureGraph(4, {(0, 1), (1, 2), (2, 3)}, kind="grid", factor1=path_graph(2),
-                          factor2=path_graph(2), vec=(1, 1)),
-        ArchitectureGraph(4, {(0, 1), (2, 3), (0, 2), (1, 3)}, kind="grid",
-                          factor1=path_graph(2), factor2=path_graph(2)),
-        ArchitectureGraph(4, {(0, 1), (2, 3), (0, 2), (1, 3)}, kind="grid",
-                          factor1=path_graph(2), factor2=path_graph(2), vec=(1,)),
-    ], ids=repr)
-    def test_edges_unlike_the_kind_rejected(self, g):
-        with pytest.raises(ValueError, match="do not form"):
-            g.distances()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qroute.perm import PartialPermutation, compose, union
+from qroute.perm import PartialPermutation
 
 
 def pp(n, mapping):
@@ -85,62 +85,6 @@ class TestConstruction:
         assert p.image() == [3, 1]
 
 
-class TestCompose:
-    def test_chains_through_shared_vertex(self):
-        g = pp(4, {1: 2})
-        f = pp(4, {2: 0})
-        assert compose(f, g) == pp(4, {1: 0})
-
-    def test_identity_on_image_of_g(self):
-        g = pp(4, {0: 2, 3: 1})
-        f = pp(4, {2: 2, 1: 1})
-        assert compose(f, g) == g
-
-    def test_empty_when_images_miss_domain(self):
-        g = pp(4, {0: 1})
-        f = pp(4, {2: 3})
-        assert compose(f, g) == PartialPermutation(4)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(pp(3, {}), pp(4, {}))
-
-    @given(random_partial())
-    def test_inverse_then_forward_is_identity_on_dom(self, p):
-        r = compose(p.inverse(), p)
-        for v in p.dom():
-            assert r(v) == v
-        assert sorted(r.dom()) == sorted(p.dom())
-
-
-class TestUnion:
-    def test_disjoint(self):
-        assert union(pp(4, {0: 1}), pp(4, {2: 3})) == pp(4, {0: 1, 2: 3})
-
-    def test_empty_left_identity(self):
-        g = pp(4, {1: 3})
-        assert union(PartialPermutation(4), g) == g
-
-    def test_image_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            union(pp(4, {0: 1}), pp(4, {2: 1}))
-
-    def test_domain_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            union(pp(4, {0: 1}), pp(4, {0: 2}))
-
-    @given(random_partial(), random_partial())
-    def test_union_restricted_to_first_argument(self, f, g):
-        if f.n != g.n:
-            return
-        f_dom, f_img = set(f.dom()), set(f.image())
-        if f_dom & set(g.dom()) or f_img & set(g.image()):
-            return
-        u = union(f, g)
-        for v in f.dom():
-            assert u(v) == f(v)
-
-
 class TestCompletion:
     def test_total_unchanged(self):
         p = pp(3, {0: 1, 1: 2, 2: 0})
@@ -150,12 +94,12 @@ class TestCompletion:
         assert pp(3, {0: 2}).complete_arbitrary() == pp(3, {0: 2, 1: 0, 2: 1})
 
     def test_empty_becomes_identity(self):
-        assert PartialPermutation(4).complete_arbitrary() == PartialPermutation.identity(4)
+        assert PartialPermutation(4).complete_arbitrary() == PartialPermutation(4, range(4))
 
     @given(random_partial())
     def test_completion_is_total_bijection_extending_p(self, p):
         c = p.complete_arbitrary()
-        assert c.is_total()
+        assert None not in c.forward
         assert sorted(c.image()) == list(range(p.n))
         for v in p.dom():
             assert c(v) == p(v)
@@ -205,7 +149,7 @@ class TestSwap:
 
 class TestResolved:
     def test_identity_resolved(self):
-        assert PartialPermutation.identity(3).is_resolved()
+        assert PartialPermutation(3, range(3)).is_resolved()
 
     def test_single_displaced_token(self):
         assert not pp(2, {0: 1}).is_resolved()

@@ -31,9 +31,9 @@ def test_rejects_bad_routing(steps, message):
         check_routing(path_graph(3), REVERSAL_P3, steps)
 
 
-# has_edge finds (0.0, 1.0), since 0.0 == 0; the swap then refuses the float.
+# 0.0 == 0, so has_edge alone would accept (0.0, 1.0); each endpoint is read first.
 def test_rejects_float_vertices():
-    with pytest.raises(ValueError, match="vertex 0.0 is not an integer"):
+    with pytest.raises(ValueError, match="^step 0: vertex 0.0 is not an integer"):
         check_routing(path_graph(3), PartialPermutation(3, [1, 0, 2]), [[(0.0, 1.0)]])
 
 
