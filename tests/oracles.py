@@ -222,6 +222,28 @@ def connected_small_graphs(max_n: int) -> list[tuple[int, list[tuple[int, int]]]
     return out
 
 
+def reference_edges(g) -> set[tuple[int, int]]:
+    """Edges (u, v), u < v, of an architecture graph from its kind's definition.
+
+    A path joins i and i+1; a complete graph joins every pair; a hierarchical
+    product has a copy of factor 2's edges per factor-1 vertex, plus a copy of
+    factor 1's edges at each position j with ``vec[j] = 1``.  A generic graph
+    has no definition to follow, so its own ``edges`` stand in.
+    """
+    if g.kind == "path":
+        return {(i, i + 1) for i in range(g.n - 1)}
+    if g.kind == "complete":
+        return set(itertools.combinations(range(g.n), 2))
+    if g.factor1 is None:
+        return set(g.edges)
+    n2 = g.factor2.n
+    edges = {(i * n2 + a, i * n2 + b)
+             for i in range(g.factor1.n) for a, b in reference_edges(g.factor2)}
+    edges |= {(i * n2 + j, k * n2 + j)
+              for i, k in reference_edges(g.factor1) for j in range(n2) if g.vec[j]}
+    return edges
+
+
 def longest_weighted_path(gate_qubits: list[tuple[int, ...]],
                           gate_weights: list[int]) -> int:
     """Max-weight path in the dependency DAG of a gate list, by DP over an

@@ -6,6 +6,7 @@ import re
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from qroute import graphs
@@ -13,7 +14,14 @@ from qroute.graphs import (MAX_DIST_VERTICES, ArchitectureGraph, build_architect
                            complete_graph, grid_graph, hierarchical_product,
                            modular_graph, parse_hier_file, path_graph)
 
-from oracles import connected_small_graphs
+from oracles import connected_small_graphs, reference_edges
+
+
+def csgraph_distances(n, edges):
+    """All-pairs hop distances from scipy's shortest paths over ``edges``."""
+    u, v = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
+    adj = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    return shortest_path(adj, directed=False, unweighted=True).astype(np.int64)
 
 
 # Hier files whose factors come out path, complete and generic.
@@ -58,10 +66,17 @@ class TestBuilders:
         with pytest.raises(ValueError):
             hierarchical_product(path_graph(2), path_graph(2), (0, 0))
 
-    @pytest.mark.parametrize("vec", [(2, 0), (-1, 0), (1, 7)])
+    @pytest.mark.parametrize("vec", [(2, 0), (-1, 0), (1, 7), (1, 1.0)])
     def test_vector_entries_other_than_0_1_rejected(self, vec):
         with pytest.raises(ValueError, match="0 or 1"):
             hierarchical_product(path_graph(2), path_graph(2), vec)
+
+    def test_vector_entries_read_as_int(self):
+        with pytest.raises(ValueError, match=r"got \(1, 1.0\): entry 1.0 is not an integer"):
+            hierarchical_product(path_graph(2), path_graph(2), (1, 1.0))
+        g = hierarchical_product(path_graph(2), path_graph(2), (True, np.int64(1)))
+        assert g.vec == (1, 1) and all(type(x) is int for x in g.vec)
+        assert g.kind == "grid"
 
     def test_hier_file_rejects_vector_entry_2(self):
         with pytest.raises(ValueError, match="0 or 1"):
@@ -138,6 +153,14 @@ class TestBuilders:
         with pytest.raises(ValueError, match=f"vertex count {n!r} is not an integer"):
             ArchitectureGraph(n, {(0, 1), (1, 2)})
 
+    @pytest.mark.parametrize("build,sizes,n", [
+        (path_graph, (2.5,), 2.5), (complete_graph, ("3",), "3"),
+        (grid_graph, (2.5, 2), 2.5), (modular_graph, (2, "3"), "3"),
+    ], ids=["path", "complete", "grid", "modular"])
+    def test_builder_non_integer_size_rejected(self, build, sizes, n):
+        with pytest.raises(ValueError, match=f"vertex count {n!r} is not an integer"):
+            build(*sizes)
+
     def test_numpy_integer_vertex_count_accepted(self):
         g = ArchitectureGraph(np.int64(3), {(0, 1), (1, 2)})
         assert g.n == 3 and type(g.n) is int and g.distances()[0, 2] == 2
@@ -160,16 +183,25 @@ class TestBuilders:
         assert g.n == 6 and len(g.edges) == 6
         assert g.factor1.kind == "path" and g.factor2.kind == "path"
 
-    @pytest.mark.parametrize("text", ["n1 2\nn2 3\nv 1 1 1\ne1 0 1\ne2 0 1\n",
-                                      "n1 3\nn2 2\nv 1 1\ne1 1 2\ne2 0 1\n"],
+    @pytest.mark.parametrize("text,factor", [("n1 2\nn2 3\nv 1 1 1\ne1 0 1\ne2 0 1\n", "e2"),
+                                             ("n1 3\nn2 2\nv 1 1\ne1 1 2\ne2 0 1\n", "e1")],
                              ids=["e2", "e1"])
-    def test_hier_file_with_a_disconnected_factor_rejected(self, text):
-        with pytest.raises(ValueError, match="hierarchical product is disconnected"):
+    def test_hier_file_with_a_disconnected_factor_rejected(self, text, factor):
+        with pytest.raises(ValueError, match=f"hier file factor {factor}: graph is disconnected"):
             parse_hier_file(text)
 
     def test_hier_file_factor_kinds(self):
         assert [(g.factor1.kind, g.factor2.kind) for g in HIER_FILE_GRAPHS] == [
             ("path", "complete"), ("complete", "generic"), ("generic", "path")]
+
+    def test_product_kind_is_derived(self):
+        grid = parse_hier_file("n1 2\nn2 3\nv 1 1 1\ne1 0 1\ne2 0 1\ne2 1 2\n")
+        modular = parse_hier_file("n1 3\nn2 3\nv 1 0 0\ne1 0 1\ne1 0 2\ne1 1 2\n"
+                                  "e2 0 1\ne2 0 2\ne2 1 2\n")
+        assert (grid.kind, modular.kind) == ("grid", "modular")
+        assert [g.kind for g in HIER_FILE_GRAPHS] == ["hier"] * 3
+        assert hierarchical_product(path_graph(3), path_graph(2), (1, 0)).kind == "hier"
+        assert hierarchical_product(complete_graph(3), complete_graph(2), (1, 1)).kind == "hier"
 
 
 class TestDistances:
@@ -193,35 +225,34 @@ class TestDistances:
             assert d[u, w] <= d[u, v] + d[v, w]
 
     def test_disconnected_rejected(self):
-        g = ArchitectureGraph(3, {(0, 1)})
-        with pytest.raises(ValueError):
-            g.distances()
+        with pytest.raises(ValueError, match="graph is disconnected"):
+            ArchitectureGraph(3, {(0, 1)})
 
     def test_equal_networkx_lengths(self):
-        graphs = [ArchitectureGraph(n, set(edges)) for n, edges in connected_small_graphs(6)]
-        graphs += [ArchitectureGraph(0, set()), ArchitectureGraph(1, set()),
-                   grid_graph(3, 4), modular_graph(3, 4),
-                   hierarchical_product(path_graph(3), complete_graph(3), (0, 1, 1)),
-                   hierarchical_product(complete_graph(3), path_graph(4), (1, 0, 0, 1))]
-        for g in graphs:
+        cases = [(ArchitectureGraph(n, set(edges)), set(edges))
+                 for n, edges in connected_small_graphs(6)]
+        cases += [(ArchitectureGraph(0, set()), set()), (ArchitectureGraph(1, set()), set())]
+        cases += [(g, reference_edges(g)) for g in [
+            grid_graph(3, 4), modular_graph(3, 4),
+            hierarchical_product(path_graph(3), complete_graph(3), (0, 1, 1)),
+            hierarchical_product(complete_graph(3), path_graph(4), (1, 0, 0, 1))]]
+        for g, edges in cases:
+            assert g.edges == edges, g
             h = nx.Graph()
             h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
+            h.add_edges_from(edges)
             expect = np.zeros((g.n, g.n), dtype=np.int64)
             for s, lengths in nx.all_pairs_shortest_path_length(h):
                 for t, hops in lengths.items():
                     expect[s, t] = hops
             d = g.distances()
-            assert g.is_connected()
             assert d.dtype == np.int16
             assert np.array_equal(d, expect), g
 
     @pytest.mark.parametrize("n,edges", [(2, set()), (4, {(0, 1), (2, 3)})])
     def test_more_disconnected_graphs_rejected(self, n, edges):
-        g = ArchitectureGraph(n, edges)
-        assert not g.is_connected()
-        with pytest.raises(ValueError):
-            g.distances()
+        with pytest.raises(ValueError, match="graph is disconnected"):
+            ArchitectureGraph(n, edges)
 
     @pytest.mark.parametrize("graph", [
         path_graph,
@@ -247,14 +278,12 @@ class TestDistances:
         edges = {(i, i + 1) for i in range(n - 1)}
         edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(40)}
         g = ArchitectureGraph(n, edges)
-        expect = shortest_path(g._sparse_adjacency(), unweighted=True).astype(np.int64)
-        assert np.array_equal(g.distances(), expect)
+        assert np.array_equal(g.distances(), csgraph_distances(n, edges))
 
     def test_disconnected_past_the_first_row_block_rejected(self):
         # Only the edge between vertices 600 and 601 is missing.
-        g = ArchitectureGraph(700, {(i, i + 1) for i in range(699) if i != 600})
-        with pytest.raises(ValueError, match="requires a connected graph"):
-            g.distances()
+        with pytest.raises(ValueError, match="graph is disconnected"):
+            ArchitectureGraph(700, {(i, i + 1) for i in range(699) if i != 600})
 
     def test_shortest_path_prefers_low_index(self):
         g = grid_graph(2, 2)
@@ -288,12 +317,6 @@ class TestDistances:
         assert g.shortest_path(np.int64(2), False) == [2, 1, 0]
         assert all(type(v) is int for v in g.shortest_path(True, np.int16(3)))
 
-    @pytest.mark.parametrize("s,t", [(0, 1), (0, 2)], ids=["same component", "across"])
-    def test_shortest_path_on_disconnected_graph_rejected(self, s, t):
-        g = ArchitectureGraph(3, {(0, 1)})
-        with pytest.raises(ValueError, match="requires a connected graph"):
-            g.shortest_path(s, t)
-
 
 class TestClosedFormDistances:
     """Distances of path, complete and product graphs come from closed forms."""
@@ -312,7 +335,8 @@ class TestClosedFormDistances:
           for g in HIER_FILE_GRAPHS),
     ], ids=repr)
     def test_equal_csgraph(self, g):
-        expect = shortest_path(g._sparse_adjacency(), unweighted=True).astype(np.int64)
+        edges = reference_edges(g)
+        assert g.edges == edges
         d = g.distances()
         assert d.dtype == np.int16
-        assert np.array_equal(d, expect)
+        assert np.array_equal(d, csgraph_distances(g.n, edges))

@@ -46,11 +46,8 @@ def test_weighted_metrics(benchmark):
     assert (got.weighted_size, got.weighted_depth) == (18240, 2040)
 
 
-def test_grid_distances(benchmark):
-    def fresh():
-        return (grid_graph(32, 32),), {}
-
-    got = benchmark.pedantic(lambda g: g.distances(), setup=fresh, rounds=5, iterations=1)
+def test_grid_build(benchmark):
+    got = benchmark.pedantic(grid_graph, (32, 32), rounds=5, iterations=1).distances()
     i, j = np.divmod(np.arange(32 * 32), 32)
     assert np.array_equal(got, abs(i[:, None] - i) + abs(j[:, None] - j))
     assert got.nbytes == 2 * 1024**2
