@@ -1,8 +1,8 @@
 """Architecture graphs: connected simple graphs held as their hop distances.
 
-Vertices are dense indices 0..n-1; a graph's edges are its pairs at distance
-1.  Hierarchical products store their factor graphs and connection vector; the
-product vertex (i, j) flattens to i*n2 + j.
+Vertices are dense indices 0..n-1; a graph's edges (its pairs at distance 1)
+and its kind are derived from the matrix.  Hierarchical products store their
+factor graphs and connection vector; the product vertex (i, j) is i*n2 + j.
 """
 from __future__ import annotations
 
@@ -49,12 +49,15 @@ def _check_cap(n: int, what: str) -> None:
 class ArchitectureGraph:
     """Connected simple graph on vertices 0..n-1, held as its int16 hop distances.
 
-    A graph made here is ``generic``: shortest-path calls over ``edges`` fill
-    its matrix, and ValueError is raised if the graph is disconnected or has
-    more than ``MAX_DIST_VERTICES`` vertices.  Only the builders below set
-    ``kind`` (``path``, ``complete``, ``grid``, ``modular`` or ``hier``) and a
-    product's ``factor1``, ``factor2`` and 0/1 connection vector ``vec``, and
-    they fill the matrix from closed forms.
+    A graph made here gets its matrix from shortest paths over ``edges``, and
+    ValueError is raised if it is disconnected or over ``MAX_DIST_VERTICES``
+    vertices; the builders below use closed forms, and a product keeps its
+    ``factor1``, ``factor2`` and 0/1 connection vector ``vec``.  ``kind`` is
+    derived from the matrix: ``path`` if row 0 is 0, 1, ..., n-1, true of the
+    path 0-1-...-(n-1) alone (so K1 and K2 are paths), else ``complete`` if no
+    distance exceeds 1, else ``generic``.  A product is ``grid`` if both
+    factors pass the path test and vec is all ones, ``modular`` if both pass
+    the complete test and vec is 1, 0, ..., 0, else ``hier``.
     """
 
     def __init__(self, n: int, edges: Iterable[Edge]):
@@ -69,20 +72,28 @@ class ArchitectureGraph:
             if np.isinf(block).any():
                 raise ValueError("graph is disconnected")
             d[start:start + len(block)] = block
-        d.flags.writeable = False
-        self.n, self._dist, self.kind = n, d, "generic"
-        self.factor1 = self.factor2 = self.vec = None
+        self._hold(d)
 
     @classmethod
-    def _built(cls, d: np.ndarray, kind: str, factor1=None, factor2=None, vec=None):
+    def _built(cls, d: np.ndarray, factor1=None, factor2=None, vec=None):
         """A builder's graph: its closed-form matrix d, with no edge set or search."""
-        g = cls.__new__(cls)
+        return cls.__new__(cls)._hold(d, factor1, factor2, vec)
+
+    def _hold(self, d: np.ndarray, factor1=None, factor2=None, vec=None) -> ArchitectureGraph:
+        """Keep d and a product's factors and vec; derive ``kind`` as the class docstring says."""
         # Read-only, since distances() hands it out and a product with a
         # one-vertex factor shares the other factor's matrix.
         d.flags.writeable = False
-        g.n, g._dist, g.kind = len(d), d, kind
-        g.factor1, g.factor2, g.vec = factor1, factor2, vec
-        return g
+        self.n, self._dist, self.factor1, self.factor2, self.vec = len(d), d, factor1, factor2, vec
+        tested = [d] if factor1 is None else [factor1.distances(), factor2.distances()]
+        path = all((m[:1] == np.arange(len(m))).all() for m in tested)
+        complete = all(m.max(initial=0) <= 1 for m in tested)
+        if factor1 is None:
+            self.kind = "path" if path else "complete" if complete else "generic"
+        else:
+            self.kind = ("grid" if path and all(vec) else
+                         "modular" if complete and not any(vec[1:]) else "hier")
+        return self
 
     def __repr__(self) -> str:
         m = int(np.count_nonzero(self._dist == 1)) // 2
@@ -90,7 +101,7 @@ class ArchitectureGraph:
 
     @property
     def edges(self) -> set[Edge]:
-        """The pairs (u, v), u < v, at distance 1."""
+        """The pairs (u, v), u < v, at distance 1; only perfbench and the tests read them."""
         u, v = np.nonzero(self._dist == 1)
         upper = u < v  # half the time of np.triu on a 1,024-vertex matrix
         return set(zip(u[upper].tolist(), v[upper].tolist()))
@@ -136,11 +147,11 @@ def _read_size(n: int) -> int:
 
 def path_graph(n: int) -> ArchitectureGraph:
     r = np.arange(_read_size(n), dtype=np.int16)
-    return ArchitectureGraph._built(np.abs(r[:, None] - r), "path")
+    return ArchitectureGraph._built(np.abs(r[:, None] - r))
 
 
 def complete_graph(n: int) -> ArchitectureGraph:
-    return ArchitectureGraph._built(1 - np.eye(_read_size(n), dtype=np.int16), "complete")
+    return ArchitectureGraph._built(1 - np.eye(_read_size(n), dtype=np.int16))
 
 
 def _read_vec(vec: Iterable[int], n2: int) -> tuple[int, ...]:
@@ -161,11 +172,8 @@ def _read_vec(vec: Iterable[int], n2: int) -> tuple[int, ...]:
 def hierarchical_product(g1: ArchitectureGraph, g2: ArchitectureGraph,
                          vec: Iterable[int]) -> ArchitectureGraph:
     """Product with vertex set V1 x V2: copies of g2 per V1-vertex, plus a
-    copy of g1 joining position-j vertices wherever vec[j] = 1.
-
-    Its kind is ``grid`` for two paths joined at every position, ``modular``
-    for two complete graphs joined at position 0 alone, else ``hier``.  Its
-    factors are connected and vec has a 1, so the product is connected.
+    copy of g1 joining position-j vertices wherever vec[j] = 1.  It is
+    connected, as its factors are and vec has a 1.
 
     In a hierarchical product, (i, j) and (i, j') are d2(j, j') apart.  A
     path between copies i != i' crosses at some position k with
@@ -193,10 +201,7 @@ def hierarchical_product(g1: ArchitectureGraph, g2: ArchitectureGraph,
         i = np.arange(n1)
         d[i, :, i, :] = d2
         d = d.reshape(n1 * n2, n1 * n2)
-    kinds = {g1.kind, g2.kind}
-    kind = ("grid" if kinds == {"path"} and all(vec) else
-            "modular" if kinds == {"complete"} and vec == (1,) + (0,) * (n2 - 1) else "hier")
-    return ArchitectureGraph._built(d, kind, g1, g2, vec)
+    return ArchitectureGraph._built(d, g1, g2, vec)
 
 
 def grid_graph(n1: int, n2: int) -> ArchitectureGraph:
@@ -291,7 +296,7 @@ def parse_hier_file(text: str) -> ArchitectureGraph:
     factors = []
     for key, n in (("e1", n1), ("e2", n2)):
         with _in_hier_file(f"factor {key}"):
-            factors.append(_detect_factor(n, edges[key]))
+            factors.append(ArchitectureGraph(n, edges[key]))
     return hierarchical_product(*factors, vec)
 
 
@@ -303,11 +308,3 @@ def _in_hier_file(where: str) -> Iterator[None]:
     except ValueError as exc:
         raise ValueError(f"hier file {where}: {exc}") from exc
 
-
-def _detect_factor(n: int, edges: set[Edge]) -> ArchitectureGraph:
-    """The path or complete graph on n >= 1 vertices if these are its edges, else generic."""
-    if edges == {(i, i + 1) for i in range(n - 1)}:
-        return path_graph(n)
-    if len(edges) == n * (n - 1) // 2:
-        return complete_graph(n)
-    return ArchitectureGraph(n, edges)

@@ -1,8 +1,8 @@
 """Matching algorithms: greedy maximal and min-weight perfect bipartite.
 
-All routines are deterministic: edge iteration follows sorted order and ties
-in the assignment problem are broken toward the lexicographically smallest
-matched edge set.
+All routines are deterministic: the greedy matching scans vertices in order
+and ties in the assignment problem are broken toward the lexicographically
+smallest matched edge set.
 """
 from __future__ import annotations
 
@@ -56,20 +56,21 @@ def cost_matrix(n_left: int, n_right: int,
     return cost
 
 
-# The class name perfbench still calls; ROADMAP item 5 deletes this alias.
+# The class name perfbench still calls; ROADMAP item 4 deletes this alias.
 WeightedBipartiteGraph = cost_matrix
 
 
 def maximal_matching(g: ArchitectureGraph) -> list[Edge]:
-    """Greedy maximal matching over lexicographically sorted edges."""
-    used: set[int] = set()
+    """Greedy maximal matching over lexicographically sorted edges: each free vertex
+    u in turn takes its smallest free neighbour v (v > u: a free v < u would have taken u)."""
+    d = g.distances()
+    free = np.ones(g.n, dtype=bool)
     matching: list[Edge] = []
-    for u, v in sorted(g.edges):
-        if u in used or v in used:
-            continue
-        matching.append((u, v))
-        used.add(u)
-        used.add(v)
+    for u in range(g.n):
+        if free[u] and (row := (d[u] == 1) & free).any():
+            v = int(row.argmax())  # the first free neighbour
+            free[u] = free[v] = False
+            matching.append((u, v))
     return matching
 
 

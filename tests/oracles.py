@@ -244,6 +244,28 @@ def reference_edges(g) -> set[tuple[int, int]]:
     return edges
 
 
+def reference_maximal_matching(g) -> list[tuple[int, int]]:
+    """Greedy maximal matching over the sorted ``reference_edges(g)``: an edge
+    joins the matching when neither end is matched yet."""
+    used: set[int] = set()
+    matching = []
+    for u, v in sorted(reference_edges(g)):
+        if u not in used and v not in used:
+            matching.append((u, v))
+            used.update((u, v))
+    return matching
+
+
+# Hier files whose factors come out path, complete and generic.
+HIER_FILES = [
+    "n1 3\nn2 4\nv 0 1 0 1\ne1 0 1\ne1 1 2\n"
+    "e2 0 1\ne2 0 2\ne2 0 3\ne2 1 2\ne2 1 3\ne2 2 3\n",
+    "n1 3\nn2 5\nv 0 0 1 0 0\ne1 0 1\ne1 1 2\ne1 0 2\n"
+    "e2 0 1\ne2 1 2\ne2 2 3\ne2 3 4\ne2 4 0\n",
+    "n1 4\nn2 3\nv 1 0 0\ne1 0 1\ne1 0 2\ne1 0 3\ne2 1 2\ne2 0 1\n",
+]
+
+
 def longest_weighted_path(gate_qubits: list[tuple[int, ...]],
                           gate_weights: list[int]) -> int:
     """Max-weight path in the dependency DAG of a gate list, by DP over an

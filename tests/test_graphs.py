@@ -14,7 +14,7 @@ from qroute.graphs import (MAX_DIST_VERTICES, ArchitectureGraph, build_architect
                            complete_graph, grid_graph, hierarchical_product,
                            modular_graph, parse_hier_file, path_graph)
 
-from oracles import connected_small_graphs, reference_edges
+from oracles import HIER_FILES, connected_small_graphs, reference_edges
 
 
 def csgraph_distances(n, edges):
@@ -24,14 +24,7 @@ def csgraph_distances(n, edges):
     return shortest_path(adj, directed=False, unweighted=True).astype(np.int64)
 
 
-# Hier files whose factors come out path, complete and generic.
-HIER_FILE_GRAPHS = [
-    parse_hier_file("n1 3\nn2 4\nv 0 1 0 1\ne1 0 1\ne1 1 2\n"
-                    "e2 0 1\ne2 0 2\ne2 0 3\ne2 1 2\ne2 1 3\ne2 2 3\n"),
-    parse_hier_file("n1 3\nn2 5\nv 0 0 1 0 0\ne1 0 1\ne1 1 2\ne1 0 2\n"
-                    "e2 0 1\ne2 1 2\ne2 2 3\ne2 3 4\ne2 4 0\n"),
-    parse_hier_file("n1 4\nn2 3\nv 1 0 0\ne1 0 1\ne1 0 2\ne1 0 3\ne2 1 2\ne2 0 1\n"),
-]
+HIER_FILE_GRAPHS = [parse_hier_file(text) for text in HIER_FILES]
 
 
 class TestBuilders:
@@ -202,6 +195,22 @@ class TestBuilders:
         assert [g.kind for g in HIER_FILE_GRAPHS] == ["hier"] * 3
         assert hierarchical_product(path_graph(3), path_graph(2), (1, 0)).kind == "hier"
         assert hierarchical_product(complete_graph(3), complete_graph(2), (1, 1)).kind == "hier"
+
+    def test_equal_graphs_get_equal_kinds(self):
+        # Complete modules of 2 qubits joined at position 0, as modular:3x2 builds them.
+        g = parse_hier_file("n1 3\nn2 2\nv 1 0\ne1 0 1\ne1 1 2\ne1 0 2\ne2 0 1\n")
+        modular = build_architecture("modular:3x2")
+        assert g.kind == modular.kind == "modular"
+        assert np.array_equal(g.distances(), modular.distances())
+        assert hierarchical_product(complete_graph(2), complete_graph(2), (1, 1)).kind == "grid"
+        assert complete_graph(2).kind == "path"  # K2 is P2
+
+    def test_kind_of_a_graph_built_from_edges(self):
+        assert ArchitectureGraph(5, {(i, i + 1) for i in range(4)}).kind == "path"
+        assert ArchitectureGraph(5, set(itertools.combinations(range(5), 2))).kind == "complete"
+        assert ArchitectureGraph(5, {(i, (i + 1) % 5) for i in range(5)}).kind == "generic"
+        # A path in another vertex order is not 0-1-...-(n-1).
+        assert ArchitectureGraph(3, {(0, 2), (1, 2)}).kind == "generic"
 
 
 class TestDistances:

@@ -7,11 +7,13 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from qroute import matching
-from qroute.graphs import complete_graph, grid_graph, modular_graph, path_graph
+from qroute.graphs import (ArchitectureGraph, build_architecture, complete_graph, grid_graph,
+                           hierarchical_product, modular_graph, parse_hier_file, path_graph)
 from qroute.matching import (WeightedBipartiteGraph, _tight_edges, maximal_matching,
                              min_weight_perfect_matching)
 
-from oracles import brute_min_weight_pm, refix_min_weight_pm
+from oracles import (HIER_FILES, brute_min_weight_pm, connected_small_graphs,
+                     reference_maximal_matching, refix_min_weight_pm)
 
 
 class TestMaximalMatching:
@@ -30,6 +32,18 @@ class TestMaximalMatching:
             assert len(used) == 2 * len(m)  # vertex-disjoint
             for u, v in g.edges:            # no augmenting edge remains
                 assert u in used or v in used
+
+    def test_equals_greedy_over_sorted_edges(self):
+        graphs = [build_architecture(spec) for spec in
+                  ["path:1", "path:8", "complete:2", "complete:7", "grid:4x5", "modular:4x3"]]
+        graphs += [hierarchical_product(path_graph(3), complete_graph(4), (0, 1, 1, 0)),
+                   ArchitectureGraph(4, {(0, 1), (1, 2), (1, 3)})]
+        graphs += [parse_hier_file(text) for text in HIER_FILES]
+        graphs += [ArchitectureGraph(n, edges) for n, edges in connected_small_graphs(6)]
+        assert {g.kind for g in graphs} == {"path", "complete", "grid", "modular", "hier",
+                                            "generic"}
+        for g in graphs:
+            assert maximal_matching(g) == reference_maximal_matching(g), g
 
 
 class TestWeightedBipartiteGraph:

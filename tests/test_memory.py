@@ -8,7 +8,7 @@ A 1,024-vertex int64 distance matrix is 8 MiB, and one float64 shortest-path
 call over all rows peaks at 16 MiB; int16 and blocks of rows bring these to 2
 and about 6 MiB.  A graph holds no edge set, so a 4,096-vertex complete graph
 retains its 32 MiB int16 matrix and nothing more; an edge set would add about
-8.4 million tuples.
+8.4 million tuples, which its 2,048 slots, read from the matrix, also avoid.
 """
 import gc
 import tracemalloc
@@ -17,6 +17,7 @@ import pytest
 
 from qroute.circuit import random_circuit
 from qroute.graphs import ArchitectureGraph, complete_graph, grid_graph, modular_graph
+from qroute.matching import maximal_matching
 from qroute.qasm import emit_qasm, parse_qasm
 
 
@@ -72,3 +73,10 @@ def test_4096_vertex_graph_retains_only_its_matrix(build):
     g, size, _ = traced_bytes(build)
     assert g.n == 4096 and g.distances()[0, -1] == 1
     assert size <= 32.1 * 2**20
+
+
+def test_4096_vertex_complete_graph_slots_peak_under_1_mib():
+    g = complete_graph(4096)
+    slots, _, peak = traced_bytes(lambda: maximal_matching(g))
+    assert len(slots) == 2048
+    assert peak < 2**20

@@ -7,10 +7,11 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from qroute.circuit import GateWeights, layers, random_circuit, weighted_metrics
 from qroute.graphs import grid_graph
-from qroute.matching import WeightedBipartiteGraph, min_weight_perfect_matching
+from qroute.matching import WeightedBipartiteGraph, maximal_matching, min_weight_perfect_matching
 from qroute.qasm import emit_qasm, parse_qasm
 
 from oracles import refix_min_weight_pm
@@ -83,3 +84,29 @@ def test_min_weight_perfect_matching_ties(benchmark):
     cost = np.array([[rng.randint(0, 3) for _ in range(32)] for _ in range(32)], dtype=float)
     got = benchmark.pedantic(min_weight_perfect_matching, (cost,), rounds=20, iterations=1)
     assert [r for _, r in got] == refix_min_weight_pm(cost.tolist())
+
+
+def test_min_weight_perfect_matching_all_slots(benchmark):
+    """ROADMAP item 1's placement: each of the first three two-qubit layers of
+    a 64-qubit circuit costed over all 512 slots of grid:32x32, made square
+    with 480 zero rows.  The lex-min pass over those equal rows dominates."""
+    g = grid_graph(32, 32)
+    d, (x, y) = g.distances().astype(np.int64), np.array(maximal_matching(g)).T
+    gate_layers = [layer.tg() for layer in layers(random_circuit(64, 10, seed=3)) if layer.tg()]
+    costs = []
+    for pairs in gate_layers[:3]:
+        a, b = np.array(pairs).T
+        real = np.minimum(d[a][:, x] + d[b][:, y], d[a][:, y] + d[b][:, x])
+        costs.append(np.vstack([real, np.zeros((len(x) - len(real), len(x)))]))
+    rounds = iter(costs)
+    solved = []
+
+    def place(cost):
+        solved.append((cost, min_weight_perfect_matching(cost)))
+
+    benchmark.pedantic(place, setup=lambda: ((next(rounds),), {}), rounds=3, iterations=1)
+    assert solved
+    for cost, got in solved:
+        rows, cols = np.array(got).T
+        assert sorted(cols.tolist()) == list(range(len(cost)))
+        assert cost[rows, cols].sum() == cost[linear_sum_assignment(cost)].sum()
