@@ -1,9 +1,9 @@
-"""Partial permutations over a fixed vertex set 0..n-1.
+"""Partial permutations over a fixed vertex set 0..n-1: routing requests.
 
 A partial permutation maps a subset of vertices injectively onto a subset of
-vertices.  Entries are stored in a dense ``forward`` list where ``None`` marks
-an unmapped vertex.  In the token picture, ``forward[v]`` is the destination
-of the token currently sitting on vertex ``v`` (``None`` = no token).
+vertices, stored in a dense ``forward`` list where ``None`` marks an unmapped
+vertex: ``forward[v]`` is the destination of the token on vertex ``v``.  It is
+read, never moved: a router swaps tokens in its own copy of ``forward``.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def read_vertex(v: int, n: int, what: str = "vertex") -> int:
 
 
 class PartialPermutation:
-    """Injective partial self-map of ``{0, .., n-1}``."""
+    """Injective partial self-map of ``{0, .., n-1}``; a router reads it, never moves it."""
 
     __slots__ = ("n", "forward")
 
@@ -59,14 +59,11 @@ class PartialPermutation:
             fwd[read_vertex(s, n, "source")] = t
         return cls(n, fwd)
 
-    def copy(self) -> "PartialPermutation":
-        return PartialPermutation(self.n, self.forward)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PartialPermutation)
                 and self.n == other.n and self.forward == other.forward)
 
-    # Mutable (see apply_swap), so unhashable; key() is the hashable view.
+    # forward is a public list compared by value, so unhashable; key() is the hashable view.
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
@@ -85,32 +82,14 @@ class PartialPermutation:
     def dom(self) -> list[int]:
         return [s for s, t in enumerate(self.forward) if t is not None]
 
-    def image(self) -> list[int]:
-        return [t for t in self.forward if t is not None]
-
-    def is_resolved(self) -> bool:
-        """True iff every mapped vertex already sits on its destination."""
-        return all(t is None or t == s for s, t in enumerate(self.forward))
-
     def key(self) -> tuple[int | None, ...]:
         """Hashable snapshot, usable as a memoization key or set member."""
         return tuple(self.forward)
 
-    def apply_swap(self, u: int, v: int) -> None:
-        """Exchange the tokens on vertices ``u`` and ``v`` in place.
-
-        An unmapped entry models "no token" and transfers as undefined.
-        """
-        u, v = read_vertex(u, self.n), read_vertex(v, self.n)
-        if u == v:
-            raise ValueError("swap endpoints must differ")
-        f = self.forward
-        f[u], f[v] = f[v], f[u]
-
     def complete_arbitrary(self) -> "PartialPermutation":
         """Deterministic completion: unmapped sources in ascending order
         receive the unused targets in ascending order."""
-        used = set(self.image())
+        used = set(self.forward)
         free = iter(t for t in range(self.n) if t not in used)
         fwd = [t if t is not None else next(free) for t in self.forward]
         return PartialPermutation(self.n, fwd)

@@ -128,25 +128,6 @@ def routing_number_table(edges: list[tuple[int, int]], n: int) -> dict[State, in
     return dist
 
 
-def brute_max_bipartite(n_left: int, n_right: int,
-                        pairs: set[tuple[int, int]]) -> int:
-    """Maximum matching cardinality by exhaustive recursion."""
-    best = 0
-
-    def rec(l: int, used_r: set[int], size: int):
-        nonlocal best
-        best = max(best, size)
-        if l == n_left:
-            return
-        rec(l + 1, used_r, size)
-        for r in range(n_right):
-            if (l, r) in pairs and r not in used_r:
-                rec(l + 1, used_r | {r}, size + 1)
-
-    rec(0, set(), 0)
-    return best
-
-
 def brute_min_weight_pm(cost: list[list[float]]) -> tuple[float, list[int]] | None:
     """(total, lex-smallest optimal column assignment), or None if infeasible.
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qroute.graphs import complete_graph, path_graph
 from qroute.perm import PartialPermutation
+from qroute.permuters import check_routing
 
 
 def pp(n, mapping):
@@ -82,7 +84,7 @@ class TestConstruction:
     def test_dom_image_sizes_match(self):
         p = pp(5, {0: 3, 2: 1})
         assert p.dom() == [0, 2]
-        assert p.image() == [3, 1]
+        assert [t for t in p.forward if t is not None] == [3, 1]
 
 
 class TestCompletion:
@@ -100,32 +102,28 @@ class TestCompletion:
     def test_completion_is_total_bijection_extending_p(self, p):
         c = p.complete_arbitrary()
         assert None not in c.forward
-        assert sorted(c.image()) == list(range(p.n))
+        assert sorted(c.forward) == list(range(p.n))
         for v in p.dom():
             assert c(v) == p(v)
 
 
+# A partial permutation never moves: swaps happen only in check_routing's
+# replay, on its own copy of ``forward``.  These pin that replay.
 class TestSwap:
     def test_token_moves(self):
-        p = pp(2, {0: 1})
-        p.apply_swap(0, 1)
-        assert p == pp(2, {1: 1})
+        check_routing(path_graph(2), pp(2, {0: 1}), [[(0, 1)]])
 
     def test_involution(self):
-        p = pp(4, {0: 2, 3: 1})
-        q = p.copy()
-        q.apply_swap(1, 2)
-        q.apply_swap(1, 2)
-        assert q == p
+        p = pp(4, {1: 1, 2: 2})
+        check_routing(path_graph(4), p, [[(1, 2)], [(1, 2)]])
+        assert p == pp(4, {1: 1, 2: 2})
 
     def test_both_tokens_delivered(self):
-        p = pp(2, {0: 1, 1: 0})
-        p.apply_swap(0, 1)
-        assert p.is_resolved()
+        check_routing(path_graph(2), pp(2, {0: 1, 1: 0}), [[(1, 0)]])
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            pp(2, {}).apply_swap(0, 2)
+        with pytest.raises(ValueError, match=r"step 0: vertex 2 out of range \[0, 2\)"):
+            check_routing(path_graph(2), pp(2, {}), [[(0, 2)]])
 
     @pytest.mark.parametrize("u,v,message", [
         (0.5, 1, "vertex 0.5 is not an integer"),
@@ -135,27 +133,32 @@ class TestSwap:
     def test_rejects_bad_vertex(self, u, v, message):
         p = pp(2, {0: 1})
         with pytest.raises(ValueError, match=message):
-            p.apply_swap(u, v)
+            check_routing(path_graph(2), p, [[(u, v)]])
         assert p == pp(2, {0: 1})
 
-    @given(random_partial(), st.integers(0, 7), st.integers(0, 7))
-    def test_swap_preserves_target_multiset(self, p, u, v):
-        if u >= p.n or v >= p.n or u == v:
-            return
-        before = sorted(p.image())
-        p.apply_swap(u, v)
-        assert sorted(p.image()) == before
+    # Selection sort by single swaps on K_n resolves p only if no swap loses
+    # or duplicates a token.
+    @given(random_partial())
+    def test_swap_preserves_target_multiset(self, p):
+        tokens, steps = list(p.forward), []
+        for t in range(p.n):
+            if t in tokens and tokens[t] != t:
+                s = tokens.index(t)
+                tokens[s], tokens[t] = tokens[t], tokens[s]
+                steps.append([(s, t)])
+        check_routing(complete_graph(p.n), p, steps)
 
 
 class TestResolved:
     def test_identity_resolved(self):
-        assert PartialPermutation(3, range(3)).is_resolved()
+        check_routing(path_graph(3), PartialPermutation(3, range(3)), [])
 
     def test_single_displaced_token(self):
-        assert not pp(2, {0: 1}).is_resolved()
+        with pytest.raises(ValueError, match="0 steps leave 1 tokens unresolved"):
+            check_routing(path_graph(2), pp(2, {0: 1}), [])
 
     def test_empty_vacuously_resolved(self):
-        assert PartialPermutation(3).is_resolved()
+        check_routing(path_graph(3), PartialPermutation(3), [])
 
 
 class TestHashing:
@@ -166,7 +169,7 @@ class TestHashing:
     def test_key_is_a_set_member_that_tracks_swaps(self):
         p = pp(3, {0: 1, 2: 0})
         seen = {p.key()}
-        p.apply_swap(0, 1)
+        p.forward[0], p.forward[1] = p.forward[1], p.forward[0]
         assert p.key() not in seen
-        p.apply_swap(0, 1)
+        p.forward[0], p.forward[1] = p.forward[1], p.forward[0]
         assert p.key() in seen
