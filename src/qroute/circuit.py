@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .perm import read_count
+
 # The gate set: name -> (parameter count, qubit count).
 GATE_ARITY = {"u": (3, 1), "h": (0, 1), "x": (0, 1), "rz": (1, 1),
               "cx": (0, 2), "swap": (0, 2)}
@@ -200,6 +202,7 @@ def random_circuit(n_qubits: int, n_layers: int = 20, seed: int | None = None) -
     Angles are Python floats.  The ``u`` gates on a qubit share one ``(q,)``
     tuple, and a block's three CNOTs are one ``Gate`` object.
     """
+    n_qubits, n_layers = read_count(n_qubits, "n_qubits"), read_count(n_layers, "n_layers")
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
     rng = np.random.default_rng(seed)

@@ -6,7 +6,6 @@ smallest matched edge set.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
@@ -116,14 +115,15 @@ def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
     One assignment solve gives an optimum, and optimal duals recovered from
     it by Bellman-Ford mark the tight edges, those of zero reduced cost: the
     optimal matchings are exactly the perfect matchings of tight edges.  Rows
-    are then fixed in order.  A row can only trade up to a tight column that
-    is smaller than its own and held by a later row; a row with no such
-    candidate keeps its column.  Otherwise a breadth-first search over tight
-    edges of later rows finds the columns the row can take by rotating an
-    alternating cycle, stopping once it reaches the smallest candidate, and
-    the row takes the smallest candidate reached.  Reduced costs up to 1e-9
-    times max(1, largest |weight|) count as tight, so optima closer than that
-    are ties.  Cost: one solve plus O(n^3).
+    are fixed in stages, each of the next rows while the product of their
+    tight degrees stays <= 2**(52 - n.bit_length()).  In a solve over the rows
+    and columns not yet fixed, a stage row's tight entry costs its 1-based
+    rank among the row's tight columns times the product of the degrees of
+    the stage rows after it, a later row's costs 0 and all else is inf, so
+    the optimum is the stage's lex-min choice.  The bound keeps each entry an
+    exact float64 integer and each sum of n entries below 2**52.  Reduced
+    costs up to 1e-9 times max(1, largest |weight|) count as tight, so optima
+    closer than that are ties.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -138,43 +138,23 @@ def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
         assignment = linear_sum_assignment(cost)[1]  # rows come back as 0..n-1
     except ValueError:
         raise ValueError("no perfect matching exists") from None
-    cols = assignment.tolist()
-    # The tight columns of each row and the tight rows of each column, ascending.
-    tight_cols: list[list[int]] = [[] for _ in range(n)]
-    tight_rows: list[list[int]] = [[] for _ in range(n)]
-    r_idx, c_idx = np.nonzero(_tight_edges(cost, assignment))
-    for r, c in zip(r_idx.tolist(), c_idx.tolist()):
-        tight_cols[r].append(c)
-        tight_rows[c].append(r)
-    owner = [0] * n  # owner[c] is the row that holds column c
-    for r, c in enumerate(cols):
-        owner[c] = r
-    for row, tight in enumerate(tight_cols):
-        col = cols[row]
-        if tight[0] == col:  # the row already holds its smallest tight column
+    tight = _tight_edges(cost, assignment)
+    rank = tight.cumsum(axis=1)
+    limit = 2 ** (52 - n.bit_length())
+    cols, fixed, prefix = np.arange(n), [], [1]  # prefix: running products of stage degrees
+    for d in [*rank[:, -1].tolist(), limit + 1]:  # the last entry closes the last stage
+        if (product := prefix[-1] * d) <= limit:
+            prefix.append(product)
             continue
-        # Columns held by earlier rows are fixed, so only these can be won.
-        candidates = [c for c in tight if c < col and owner[c] > row]
-        if not candidates:
-            continue
-        # via[c] = (r, x): row r can move to column x, freeing c for row.
-        via: dict[int, tuple[int, int] | None] = {col: None}
-        first = candidates[0]
-        reached = [col]  # the breadth-first queue, which grows as it is read
-        for x in reached:
-            if first in via:
-                break
-            rows = tight_rows[x]
-            for r in rows[bisect_right(rows, row):]:
-                c = cols[r]
-                if c not in via:
-                    via[c] = (r, x)
-                    reached.append(c)
-        chosen = c = next((c for c in candidates if c in via), col)
-        while via[c] is not None:
-            r, c = via[c]
-            cols[r] = c
-            owner[c] = r
-        cols[row] = chosen
-        owner[chosen] = row
-    return list(enumerate(cols))
+        m = len(prefix) - 1  # the stage's rows lead the rows left
+        weight = np.array([prefix[-1] / p for p in prefix[1:]] + [0.0] * (len(tight) - m))
+        stage_cost = rank * weight[:, None]
+        stage_cost[~tight] = np.inf
+        picked = linear_sum_assignment(stage_cost)[1][:m]
+        fixed += cols[picked].tolist()
+        if m < len(tight):  # slice away the stage's rows and columns
+            free = np.ones(len(cols), dtype=bool)
+            free[picked] = False
+            tight, rank, cols = tight[m:, free], rank[m:, free], cols[free]
+        prefix = [1, d]
+    return list(enumerate(fixed))

@@ -11,14 +11,14 @@ from operator import index
 from typing import Iterable, Iterator
 
 
-def read_count(n: int) -> int:
-    """A vertex count read through ``operator.index``; ValueError unless it is an int >= 0."""
+def read_count(n: int, what: str = "vertex count") -> int:
+    """``n`` read through ``operator.index``; ValueError naming it ``what`` unless an int >= 0."""
     try:
         n = index(n)
     except TypeError:
-        raise ValueError(f"vertex count {n!r} is not an integer") from None
+        raise ValueError(f"{what} {n!r} is not an integer") from None
     if n < 0:
-        raise ValueError("vertex count must be non-negative")
+        raise ValueError(f"{what} must be non-negative")
     return n
 
 

@@ -317,3 +317,18 @@ class TestRandomCircuit:
     def test_too_few_qubits(self):
         with pytest.raises(ValueError):
             random_circuit(1)
+
+    @pytest.mark.parametrize("args,message", [
+        ((4, -1), "n_layers must be non-negative"),
+        ((4, 2.5), "n_layers 2.5 is not an integer"),
+        ((4, "3"), "n_layers '3' is not an integer"),
+        ((-1, 3), "n_qubits must be non-negative"),
+        ((4.0, 3), r"n_qubits 4\.0 is not an integer"),
+    ])
+    def test_counts_must_be_non_negative_integers(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            random_circuit(*args)
+
+    def test_counts_accept_numpy_integers(self):
+        assert random_circuit(np.int64(4), np.int32(2), seed=0) == random_circuit(4, 2, seed=0)
+        assert random_circuit(4, 0).gates == []

@@ -102,6 +102,18 @@ class TestWeightedBipartiteGraph:
             WeightedBipartiteGraph(2, 2, edges)
 
 
+def _zero_pattern(degrees, seed):
+    """A 0/1 cost whose row r holds degrees[r] zeros, one of them on a random
+    permutation; under its zero optimum exactly the zeros are tight."""
+    n = len(degrees)
+    rng = np.random.default_rng(seed)
+    cost = np.ones((n, n))
+    for r, (c, d) in enumerate(zip(rng.permutation(n), degrees)):
+        cost[r, c] = 0.0
+        cost[r, rng.choice(np.delete(np.arange(n), c), d - 1, replace=False)] = 0.0
+    return cost
+
+
 class TestMinWeightPerfect:
     def test_2x2(self):
         b = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 0)])
@@ -190,19 +202,62 @@ class TestMinWeightPerfect:
                 continue
             assert [r for _, r in min_weight_perfect_matching(b)] == expect
 
-    def test_one_assignment_solve(self, monkeypatch):
-        calls = []
+    # The stage bound for n = 64 is 2**45 = 8**15: fifteen rows of tight
+    # degree 8 fill a stage exactly, and a degree-16 row after fourteen of
+    # them lands one row past it.
+    @pytest.mark.parametrize("degrees", [[8] * 15 + [2] * 49, [8] * 14 + [16] + [2] * 49],
+                             ids=["on-bound", "one-row-past"])
+    def test_stage_bound_against_refixing_reference(self, degrees):
+        cost = _zero_pattern(degrees, seed=0)
+        assert [r for _, r in min_weight_perfect_matching(cost)] == refix_min_weight_pm(
+            cost.tolist())
 
-        def counted(cost):
-            calls.append(cost.shape)
-            return linear_sum_assignment(cost)
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_all_zero_takes_the_identity(self, n):
+        assert min_weight_perfect_matching(np.zeros((n, n))) == [(i, i) for i in range(n)]
+
+    @pytest.mark.parametrize("zero_share", [0.5, 0.8, 0.95])
+    def test_random_zero_one_against_refixing_reference(self, zero_share):
+        rng = np.random.default_rng(int(100 * zero_share))
+        cost = (rng.random((48, 48)) >= zero_share).astype(float)
+        assert [r for _, r in min_weight_perfect_matching(cost)] == refix_min_weight_pm(
+            cost.tolist())
+
+    # Entries k/3 apart, each moved by up to 1e-12: optima differ by less
+    # than the 1e-9 tolerance, so they tie, and other matchings by >= 1/3.
+    def test_float_near_ties_against_refixing_reference(self):
+        rng = np.random.default_rng(9)
+        for n in (12, 30, 40):
+            cost = rng.integers(0, 4, (n, n)) / 3 + rng.uniform(0, 1e-12, (n, n))
+            assert [r for _, r in min_weight_perfect_matching(cost)] == refix_min_weight_pm(
+                cost.tolist())
+
+    @pytest.mark.parametrize("cost,first_stage", [
+        (np.zeros((64, 64)), 7),
+        (_zero_pattern([8] * 15 + [2] * 49, seed=0), 15),
+        (_zero_pattern([8] * 14 + [16] + [2] * 49, seed=0), 14),
+        (np.random.default_rng(20).integers(0, 4, (20, 20)).astype(float), 20),
+    ], ids=["all-zero", "on-bound", "one-row-past", "ties"])
+    def test_staged_solves_cover_the_rows_left(self, monkeypatch, cost, first_stage):
+        solved = []
+
+        def counted(c):
+            solved.append(c.copy())
+            return linear_sum_assignment(c)
 
         monkeypatch.setattr(matching, "linear_sum_assignment", counted)
-        rng = random.Random(20)
-        b = WeightedBipartiteGraph(20, 20, [(l, r, float(rng.randint(0, 3)))
-                                            for l in range(20) for r in range(20)])
-        min_weight_perfect_matching(b)
-        assert calls == [(20, 20)]
+        min_weight_perfect_matching(cost)
+        assert np.array_equal(solved[0], cost)  # the optimum over the whole matrix
+        stages, rows_left = [], len(cost)
+        for stage_cost in solved[1:]:
+            assert stage_cost.shape == (rows_left, rows_left)
+            # A stage row's finite entries cost >= 1 and lead; a later row's cost 0.
+            in_stage = [bool(row[np.isfinite(row)].min() > 0) for row in stage_cost]
+            k = in_stage.count(True)
+            assert k > 0 and in_stage == [True] * k + [False] * (rows_left - k)
+            stages.append(k)
+            rows_left -= k
+        assert rows_left == 0 and stages[0] == first_stage
 
     # Placement-shaped input: each gate of a front layer is costed against
     # each slot of a maximal matching as the cheaper of its two orientations.
