@@ -51,8 +51,9 @@ class ArchitectureGraph:
 
     A graph made here gets its matrix from shortest paths over ``edges``, and
     ValueError is raised if it is disconnected or over ``MAX_DIST_VERTICES``
-    vertices; the builders below use closed forms, and a product keeps its
-    ``factor1``, ``factor2`` and 0/1 connection vector ``vec``.  ``kind`` is
+    vertices; an edge set that is exactly {(i, i+1)}, or every pair, takes the
+    path or complete closed form, as the builders below do.  A product keeps
+    its ``factor1``, ``factor2`` and 0/1 connection vector ``vec``.  ``kind`` is
     derived from the matrix: ``path`` if row 0 is 0, 1, ..., n-1, true of the
     path 0-1-...-(n-1) alone (so K1 and K2 are paths), else ``complete`` if no
     distance exceeds 1, else ``generic``.  A product is ``grid`` if both
@@ -63,16 +64,22 @@ class ArchitectureGraph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         n = read_count(n)
         _check_cap(n, "distance matrix")
-        u, v = np.array([_read_edge(a, b, n) for a, b in edges], dtype=np.int64).reshape(-1, 2).T
-        adj = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
-        d = np.empty((n, n), dtype=np.int16)
-        for start in range(0, n, _DIST_BLOCK_ROWS):
-            block = shortest_path(adj, directed=False, unweighted=True,
-                                  indices=range(start, min(start + _DIST_BLOCK_ROWS, n)))
-            if np.isinf(block).any():
-                raise ValueError("graph is disconnected")
-            d[start:start + len(block)] = block
-        self._hold(d)
+        pairs = {_read_edge(a, b, n) for a, b in edges}
+        u, v = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+        if len(pairs) == n * (n - 1) // 2:
+            self._hold(_complete_distances(n))
+        elif len(pairs) == n - 1 and (v - u == 1).all():
+            self._hold(_path_distances(n))
+        else:
+            adj = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+            d = np.empty((n, n), dtype=np.int16)
+            for start in range(0, n, _DIST_BLOCK_ROWS):
+                block = shortest_path(adj, directed=False, unweighted=True,
+                                      indices=range(start, min(start + _DIST_BLOCK_ROWS, n)))
+                if np.isinf(block).any():
+                    raise ValueError("graph is disconnected")
+                d[start:start + len(block)] = block
+            self._hold(d)
 
     @classmethod
     def _built(cls, d: np.ndarray, factor1=None, factor2=None, vec=None):
@@ -145,13 +152,21 @@ def _read_size(n: int) -> int:
     return n
 
 
+def _path_distances(n: int) -> np.ndarray:
+    r = np.arange(n, dtype=np.int16)
+    return np.abs(r[:, None] - r)
+
+
+def _complete_distances(n: int) -> np.ndarray:
+    return 1 - np.eye(n, dtype=np.int16)
+
+
 def path_graph(n: int) -> ArchitectureGraph:
-    r = np.arange(_read_size(n), dtype=np.int16)
-    return ArchitectureGraph._built(np.abs(r[:, None] - r))
+    return ArchitectureGraph._built(_path_distances(_read_size(n)))
 
 
 def complete_graph(n: int) -> ArchitectureGraph:
-    return ArchitectureGraph._built(1 - np.eye(_read_size(n), dtype=np.int16))
+    return ArchitectureGraph._built(_complete_distances(_read_size(n)))
 
 
 def _read_vec(vec: Iterable[int], n2: int) -> tuple[int, ...]:

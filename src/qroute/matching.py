@@ -73,88 +73,59 @@ def maximal_matching(g: ArchitectureGraph) -> list[Edge]:
     return matching
 
 
-def _tight_edges(cost: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Edges of zero reduced cost under optimal duals for the optimum cols.
-
-    ``cols`` is an optimal assignment as an integer array (row r takes
-    column cols[r]), and ``cost`` holds no NaN or -inf.
-
-    Column potentials v are shortest distances over edges cols[r] -> c of
-    weight cost[r, c] - cost[r, cols[r]], which have no negative cycle as cols
-    is optimal; row potentials are u[r] = cost[r, cols[r]] - v[cols[r]].
-    Bellman-Ford runs on the rows permuted into column order, where these
-    weights have a zero diagonal: a round can then only lower v, and the
-    rounds stop once none does.
-    """
-    n = len(cols)
-    permuted = np.empty_like(cost)
-    permuted[cols] = cost  # row p holds column p
-    assigned = permuted.diagonal()
-    step = permuted - assigned[:, None]
-    v = np.zeros(n)
-    relaxed = step.min(axis=0)  # the first round, from v = 0
-    for _ in range(n):
-        if not (relaxed < v).any():
-            break
-        v = relaxed
-        relaxed = (v[:, None] + step).min(axis=0)
-    u = (assigned - v)[cols]
-    tol = 1e-9 * max(1.0, float(abs(cost[cost < np.inf]).max()))
-    return cost - u[:, None] - v <= tol
-
-
 def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Minimum-weight perfect matching of a square cost matrix, as (row, column) pairs.
+    """Minimum-weight perfect matching of a square integer cost matrix, as (row, column) pairs.
 
-    Negative weights are permitted; an inf entry is a forbidden pair.  Among
+    Entries may be negative; an inf entry is a forbidden pair.  Among
     equal-weight optima the lexicographically smallest edge set is returned.
-    Raises ValueError when ``cost`` is not square, holds NaN or -inf, or
-    admits no perfect matching, which scipy's assignment solver detects
-    itself.
+    Raises ValueError when ``cost`` is not square, holds NaN, -inf or a finite
+    non-integer (named with its position), admits no perfect matching (which
+    scipy's assignment solver detects), or spans too wide a range to stage.
 
-    One assignment solve gives an optimum, and optimal duals recovered from
-    it by Bellman-Ford mark the tight edges, those of zero reduced cost: the
-    optimal matchings are exactly the perfect matchings of tight edges.  Rows
-    are fixed in stages, each of the next rows while the product of their
-    tight degrees stays <= 2**(52 - n.bit_length()).  In a solve over the rows
-    and columns not yet fixed, a stage row's tight entry costs its 1-based
-    rank among the row's tight columns times the product of the degrees of
-    the stage rows after it, a later row's costs 0 and all else is inf, so
-    the optimum is the stage's lex-min choice.  The bound keeps each entry an
-    exact float64 integer and each sum of n entries below 2**52.  Reduced
-    costs up to 1e-9 times max(1, largest |weight|) count as tight, so optima
-    closer than that are ties.
+    Rows are fixed in stages.  With m columns left and span the largest minus
+    the smallest finite entry, a stage takes the next k rows, for the largest
+    k <= m with m**k * (m*span + 1) <= 2**52.  One assignment solve over the
+    rows and columns left, of (cost - min) * m**k plus, on stage row i, each
+    column's index among those left times m**(k-1-i), gives the stage's
+    lex-min optimum: that radix sum stays below m**k, so the total cost
+    decides first, and every entry and every sum of m entries is an exact
+    float64 integer.  If n * (n*span + 1) > 2**52 no stage holds a row, and
+    a cost that has a perfect matching raises "cost range too wide".
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"sides differ: cost has shape {cost.shape}")
     if not (cost > -np.inf).all():  # false for NaN as well as -inf
         raise ValueError("cost holds NaN or -inf")
-    n = len(cost)
-    if n == 0:
-        return []
-    try:
-        # Entries are finite or inf, so infeasibility is scipy's only ValueError.
-        assignment = linear_sum_assignment(cost)[1]  # rows come back as 0..n-1
-    except ValueError:
-        raise ValueError("no perfect matching exists") from None
-    tight = _tight_edges(cost, assignment)
-    rank = tight.cumsum(axis=1)
-    limit = 2 ** (52 - n.bit_length())
-    cols, fixed, prefix = np.arange(n), [], [1]  # prefix: running products of stage degrees
-    for d in [*rank[:, -1].tolist(), limit + 1]:  # the last entry closes the last stage
-        if (product := prefix[-1] * d) <= limit:
-            prefix.append(product)
-            continue
-        m = len(prefix) - 1  # the stage's rows lead the rows left
-        weight = np.array([prefix[-1] / p for p in prefix[1:]] + [0.0] * (len(tight) - m))
-        stage_cost = rank * weight[:, None]
-        stage_cost[~tight] = np.inf
-        picked = linear_sum_assignment(stage_cost)[1][:m]
+    if not (whole := cost == np.floor(cost)).all():  # inf is whole
+        r, c = np.argwhere(~whole)[0]
+        raise ValueError(f"cost[{r}, {c}] = {float(cost[r, c])!r} is not an integer")
+    n, limit = len(cost), 2 ** 52
+    values = cost[cost < np.inf]
+    lo, span = (values.min(), int(values.max()) - int(values.min())) if values.size else (0, 0)
+    if n * (n * span + 1) > limit:
+        _assignment(np.where(cost < np.inf, 0.0, np.inf))  # an infeasible cost says so first
+        raise ValueError(f"cost range too wide: {n} rows spanning {span} exceed 2**52")
+    work, cols, fixed = cost - lo, np.arange(n), []
+    while (m := len(cols)):
+        room, k = limit // (m * span + 1), 1
+        while k < m and m ** (k + 1) <= room:
+            k += 1
+        stage = work * float(m ** k)
+        stage[:k] += np.outer([float(m ** p) for p in range(k - 1, -1, -1)], np.arange(m))
+        picked = _assignment(stage)[:k]
         fixed += cols[picked].tolist()
-        if m < len(tight):  # slice away the stage's rows and columns
-            free = np.ones(len(cols), dtype=bool)
-            free[picked] = False
-            tight, rank, cols = tight[m:, free], rank[m:, free], cols[free]
-        prefix = [1, d]
+        if k == m:
+            break
+        free = np.ones(m, dtype=bool)
+        free[picked] = False
+        work, cols = work[k:, free], cols[free]
     return list(enumerate(fixed))
+
+
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """The columns scipy's assignment solver gives rows 0..n-1 of a square cost."""
+    try:
+        return linear_sum_assignment(cost)[1]
+    except ValueError:  # entries are finite or inf, so only infeasibility raises
+        raise ValueError("no perfect matching exists") from None

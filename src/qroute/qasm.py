@@ -23,6 +23,7 @@ from string import ascii_letters
 from typing import NoReturn
 
 from .circuit import GATE_ARITY, Circuit, Gate
+from .perm import read_count
 
 # The register size is checked before any per-qubit list is built.
 MAX_QUBITS = 1 << 16
@@ -199,10 +200,10 @@ def emit_qasm(circuit: Circuit, initial_map: dict[str, int] | None = None,
     """Emit the subset; optionally record qubit-to-vertex mappings as
     comments (initial before the header, final at the end).  Qubit i is
     always written ``q[i]``, whatever ``circuit.qubits`` holds, so custom
-    qubit names do not survive a round trip."""
-    lines: list[str] = []
-    for q, v in (initial_map or {}).items():
-        lines.append(f"// initial: {q} -> v[{v}]")
+    qubit names do not survive a round trip.  A map's vertices are read by
+    :func:`~qroute.perm.read_count`, and a qubit name that is empty or holds
+    whitespace, which :func:`parse_qasm` cannot read back, raises ValueError."""
+    lines = _mapping_lines("initial", initial_map)
     lines.append(f"qreg q[{circuit.n_qubits}];")
     names = [f"q[{i}]" for i in range(circuit.n_qubits)]
     for name, qs, params in circuit.gates:
@@ -214,6 +215,16 @@ def emit_qasm(circuit: Circuit, initial_map: dict[str, int] | None = None,
             lines.append(f"{name}({float(p0)!r},{float(p1)!r},{float(p2)!r}) {args};")
         else:
             lines.append(f"{name}({','.join(map(repr, map(float, params)))}) {args};")
-    for q, v in (final_map or {}).items():
-        lines.append(f"// final: {q} -> v[{v}]")
+    lines += _mapping_lines("final", final_map)
     return "\n".join(lines) + "\n"
+
+
+def _mapping_lines(kind: str, mapping: dict[str, int] | None) -> list[str]:
+    """The ``// initial:`` or ``// final:`` lines of a qubit-to-vertex map, each
+    vertex written as the int that read_count returns for it."""
+    lines = []
+    for q, v in (mapping or {}).items():
+        if str(q).split() != [str(q)]:
+            raise ValueError(f"{kind} map qubit name {str(q)!r} is empty or holds whitespace")
+        lines.append(f"// {kind}: {q} -> v[{read_count(v, f'{kind} vertex of {q!r}')}]")
+    return lines

@@ -42,3 +42,31 @@ def test_every_import_is_used():
     found = {str(p.relative_to(SRC)): unused_imports(ast.parse(p.read_text(encoding="utf-8")))
              for p in sorted(SRC.rglob("*.py"))}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def private_definitions(tree):
+    """Module-level names a module binds that start with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_is_used():
+    trees = {str(p.relative_to(SRC)): ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = sorted((path, name) for path, tree in trees.items()
+                     for name in private_definitions(tree))
+    assert len(defined) > 1
+    assert [d for d in defined if d[1] not in read] == []

@@ -213,6 +213,11 @@ class TestBuilders:
         assert ArchitectureGraph(3, {(0, 2), (1, 2)}).kind == "generic"
 
 
+def _searched_path(n):
+    """The path 0-2-1-3-4-...-(n-1): its edges are not {(i, i+1)}, so csgraph fills it."""
+    return ArchitectureGraph(n, {(0, 2), (1, 2), (1, 3)} | {(i, i + 1) for i in range(3, n - 1)})
+
+
 class TestDistances:
     def test_path_endpoints(self):
         assert path_graph(4).distances()[0, 3] == 3
@@ -263,23 +268,33 @@ class TestDistances:
         with pytest.raises(ValueError, match="graph is disconnected"):
             ArchitectureGraph(n, edges)
 
-    @pytest.mark.parametrize("graph", [
-        path_graph,
-        lambda n: ArchitectureGraph(n, {(i, i + 1) for i in range(n - 1)}),
-    ], ids=["closed form", "csgraph"])
+    @pytest.mark.parametrize("graph", [path_graph, _searched_path], ids=["closed form", "csgraph"])
     def test_matrix_over_the_cap_rejected(self, graph):
         n = MAX_DIST_VERTICES + 1
         with pytest.raises(ValueError, match=f"distance matrix of {n} vertices exceeds"):
             graph(n).distances()
 
-    @pytest.mark.parametrize("graph", [
-        path_graph,
-        lambda n: ArchitectureGraph(n, {(i, i + 1) for i in range(n - 1)}),
-    ], ids=["closed form", "csgraph"])
+    @pytest.mark.parametrize("graph", [path_graph, _searched_path], ids=["closed form", "csgraph"])
     def test_matrix_at_the_cap_is_int16(self, graph):
         d = graph(MAX_DIST_VERTICES).distances()
         assert d.dtype == np.int16 and d.max() == MAX_DIST_VERTICES - 1
         assert d[0, -1] == d[-1, 0] == MAX_DIST_VERTICES - 1
+
+    def test_path_and_complete_edge_sets_take_closed_forms(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("csgraph called")
+
+        monkeypatch.setattr(graphs, "shortest_path", refused)
+        for n in (1, 2, 5, 64):
+            # Reversed pairs and a repeated edge still make the set {(i, i+1)}.
+            path = ArchitectureGraph(n, [(i + 1, i) for i in range(n - 1)] + [(0, 1)] * (n > 1))
+            complete = ArchitectureGraph(n, itertools.combinations(range(n), 2))
+            for g, built in ((path, path_graph(n)), (complete, complete_graph(n))):
+                assert g.distances().dtype == np.int16
+                assert np.array_equal(g.distances(), built.distances())
+        # A path in another vertex order still takes the search.
+        with pytest.raises(AssertionError, match="csgraph called"):
+            ArchitectureGraph(3, {(0, 2), (1, 2)})
 
     def test_generic_graph_over_several_row_blocks(self):
         rng = random.Random(5)

@@ -1,6 +1,7 @@
 """Matching algorithms against brute-force oracles."""
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from qroute import matching
 from qroute.graphs import (ArchitectureGraph, build_architecture, complete_graph, grid_graph,
                            hierarchical_product, modular_graph, parse_hier_file, path_graph)
-from qroute.matching import (WeightedBipartiteGraph, _tight_edges, maximal_matching,
-                             min_weight_perfect_matching)
+from qroute.matching import WeightedBipartiteGraph, maximal_matching, min_weight_perfect_matching
 
 from oracles import (HIER_FILES, brute_min_weight_pm, connected_small_graphs,
                      reference_maximal_matching, refix_min_weight_pm)
@@ -181,12 +181,11 @@ class TestMinWeightPerfect:
 
     # Placement costs are hop distances: {0..3} ties like a modular device,
     # {0..60} spreads like a 32x32 grid.
-    @pytest.mark.parametrize("weights", ["ties", "spread", "float"])
+    @pytest.mark.parametrize("weights", ["ties", "spread"])
     def test_random_against_refixing_reference(self, weights):
         rng = random.Random(weights)
         draw = {"ties": lambda: float(rng.randint(0, 3)),
-                "spread": lambda: float(rng.randint(0, 60)),
-                "float": lambda: rng.uniform(-5.0, 20.0)}[weights]
+                "spread": lambda: float(rng.randint(0, 60))}[weights]
         for _ in range(10):
             n = rng.randint(6, 40)
             density = rng.choice([1.0, 0.8, 0.5])
@@ -202,9 +201,9 @@ class TestMinWeightPerfect:
                 continue
             assert [r for _, r in min_weight_perfect_matching(b)] == expect
 
-    # The stage bound for n = 64 is 2**45 = 8**15: fifteen rows of tight
-    # degree 8 fill a stage exactly, and a degree-16 row after fourteen of
-    # them lands one row past it.
+    # 0/1 costs with a chosen number of zeros per row.  The ids name where
+    # these rows fell against a bound on tight degrees that the solve no
+    # longer uses; with span 1, 64 rows now stage as 7, 7, 8, 8, 9, 10, 12, 3.
     @pytest.mark.parametrize("degrees", [[8] * 15 + [2] * 49, [8] * 14 + [16] + [2] * 49],
                              ids=["on-bound", "one-row-past"])
     def test_stage_bound_against_refixing_reference(self, degrees):
@@ -223,52 +222,84 @@ class TestMinWeightPerfect:
         assert [r for _, r in min_weight_perfect_matching(cost)] == refix_min_weight_pm(
             cost.tolist())
 
-    # Entries k/3 apart, each moved by up to 1e-12: optima differ by less
-    # than the 1e-9 tolerance, so they tie, and other matchings by >= 1/3.
-    def test_float_near_ties_against_refixing_reference(self):
+    # Costs must be integers: k/3 plus up to 1e-12 of noise no longer ties.
+    def test_non_integral_cost_refused(self):
+        half = np.array([[math.inf, 0.0, 1.0], [2.0, math.inf, 0.5], [0.0, 1.0, math.inf]])
+        with pytest.raises(ValueError, match=re.escape("cost[1, 2] = 0.5 is not an integer")):
+            min_weight_perfect_matching(half)
         rng = np.random.default_rng(9)
-        for n in (12, 30, 40):
-            cost = rng.integers(0, 4, (n, n)) / 3 + rng.uniform(0, 1e-12, (n, n))
-            assert [r for _, r in min_weight_perfect_matching(cost)] == refix_min_weight_pm(
-                cost.tolist())
+        near = rng.integers(0, 4, (12, 12)) / 3 + rng.uniform(0, 1e-12, (12, 12))
+        near[:5] = np.round(near[:5])
+        message = f"cost[5, 0] = {float(near[5, 0])!r} is not an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            min_weight_perfect_matching(near)
 
+    # With m columns left and span the largest minus the smallest entry, a
+    # stage takes the largest k <= m with m**k * (m*span + 1) <= 2**52.  16**13
+    # is 2**52 exactly; at span 15 seven rows of 64 fit, and at span 16 the
+    # seventh row is past the bound.
     @pytest.mark.parametrize("cost,first_stage", [
-        (np.zeros((64, 64)), 7),
-        (_zero_pattern([8] * 15 + [2] * 49, seed=0), 15),
-        (_zero_pattern([8] * 14 + [16] + [2] * 49, seed=0), 14),
-        (np.random.default_rng(20).integers(0, 4, (20, 20)).astype(float), 20),
-    ], ids=["all-zero", "on-bound", "one-row-past", "ties"])
+        (np.zeros((64, 64)), 8),
+        (np.zeros((16, 16)), 13),
+        (np.random.default_rng(15).integers(0, 16, (64, 64)).astype(float), 7),
+        (np.random.default_rng(16).integers(0, 17, (64, 64)).astype(float), 6),
+        (np.random.default_rng(20).integers(0, 4, (20, 20)).astype(float), 10),
+    ], ids=["all-zero", "on-bound", "span-15", "one-row-past", "ties"])
     def test_staged_solves_cover_the_rows_left(self, monkeypatch, cost, first_stage):
         solved = []
 
-        def counted(c):
-            solved.append(c.copy())
-            return linear_sum_assignment(c)
+        def recorded(c):
+            solved.append((c.copy(), linear_sum_assignment(c)[1]))
+            return np.arange(len(c)), solved[-1][1]
 
-        monkeypatch.setattr(matching, "linear_sum_assignment", counted)
-        min_weight_perfect_matching(cost)
-        assert np.array_equal(solved[0], cost)  # the optimum over the whole matrix
-        stages, rows_left = [], len(cost)
-        for stage_cost in solved[1:]:
-            assert stage_cost.shape == (rows_left, rows_left)
-            # A stage row's finite entries cost >= 1 and lead; a later row's cost 0.
-            in_stage = [bool(row[np.isfinite(row)].min() > 0) for row in stage_cost]
-            k = in_stage.count(True)
-            assert k > 0 and in_stage == [True] * k + [False] * (rows_left - k)
+        monkeypatch.setattr(matching, "linear_sum_assignment", recorded)
+        got = min_weight_perfect_matching(cost)
+        assert [r for _, r in got] == refix_min_weight_pm(cost.tolist())
+        lo, span = cost.min(), int(cost.max() - cost.min())
+        stages, rows, cols = [], list(range(len(cost))), list(range(len(cost)))
+        for stage_cost, picked in solved:
+            m = len(rows)
+            k = max(k for k in range(1, m + 1) if m**k * (m * span + 1) <= 2**52)
+            # Square over the rows left; the k stage rows lead and add their radix.
+            expect = (cost[np.ix_(rows, cols)] - lo) * m**k
+            expect[:k] += np.outer([m ** (k - 1 - i) for i in range(k)], np.arange(m))
+            assert np.array_equal(stage_cost, expect)
             stages.append(k)
-            rows_left -= k
-        assert rows_left == 0 and stages[0] == first_stage
+            rows, cols = rows[k:], [c for j, c in enumerate(cols) if j not in picked[:k]]
+        assert rows == [] and stages[0] == first_stage
+
+    def test_cost_range_too_wide(self):
+        # n * (n*span + 1) <= 2**52 is the widest range a solve takes: for
+        # n = 8 that is span 2**46 - 1, where each stage holds one row.
+        top = 2**46 - 1
+        rng = np.random.default_rng(46)
+        cost = rng.choice([0.0, 1.0, top - 1.0, float(top)], (8, 8))
+        cost[0, :2] = 0.0, top
+        assert [r for _, r in min_weight_perfect_matching(cost)] == refix_min_weight_pm(
+            cost.tolist())
+        cost[0, 1] = top + 1
+        with pytest.raises(ValueError, match="cost range too wide"):
+            min_weight_perfect_matching(cost)
+        # Infeasibility is named first: only column 0 is open to rows 0 and 1.
+        wide = np.array([[0.0, math.inf, math.inf], [2.0**60, math.inf, math.inf],
+                         [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="no perfect matching exists"):
+            min_weight_perfect_matching(wide)
 
     # Placement-shaped input: each gate of a front layer is costed against
     # each slot of a maximal matching as the cheaper of its two orientations.
-    @pytest.mark.parametrize("graph", [grid_graph(4, 4), modular_graph(4, 4)],
-                             ids=["grid4x4", "modular4x4"])
-    def test_front_layers_against_refixing_reference(self, graph):
+    # The 32-gate draws take several stages, as perfbench's grid1024 and
+    # modular256 placements do.
+    @pytest.mark.parametrize("graph,draws,fewest,most", [
+        (grid_graph(4, 4), 150, 1, 8), (modular_graph(4, 4), 150, 1, 8),
+        (grid_graph(32, 32), 4, 16, 32), (modular_graph(16, 16), 4, 16, 32),
+    ], ids=["grid4x4", "modular4x4", "grid32x32", "modular16x16"])
+    def test_front_layers_against_refixing_reference(self, graph, draws, fewest, most):
         d = graph.distances().astype(np.int64)
         slots = maximal_matching(graph)
         rng = random.Random(graph.kind)
-        for _ in range(150):
-            k = rng.randint(1, min(8, len(slots)))
+        for _ in range(draws):
+            k = rng.randint(fewest, min(most, len(slots)))
             qubits = rng.sample(range(graph.n), 2 * k)
             a, b = np.array(qubits[0::2]), np.array(qubits[1::2])
             x, y = np.array(slots[:k]).T
@@ -276,36 +307,3 @@ class TestMinWeightPerfect:
             got = min_weight_perfect_matching(cost)
             assert [r for _, r in got] == refix_min_weight_pm(cost.tolist())
 
-
-def _reference_tight_edges(cost, cols):
-    """Tight edges by Bellman-Ford over the unpermuted rows, gathering v[cols]."""
-    n = len(cols)
-    assigned = cost[np.arange(n), cols]
-    step = cost - assigned[:, None]
-    v = np.zeros(n)
-    for _ in range(n):
-        relaxed = np.minimum(v, (v[cols][:, None] + step).min(axis=0))
-        if np.array_equal(relaxed, v):
-            break
-        v = relaxed
-    u = assigned - v[cols]
-    tol = 1e-9 * max(1.0, float(abs(cost[np.isfinite(cost)]).max()))
-    return cost - u[:, None] - v[None, :] <= tol
-
-
-@pytest.mark.parametrize("weights", ["ties", "spread", "float"])
-def test_tight_edges_match_reference(weights):
-    rng = np.random.default_rng(len(weights))
-    checked = 0
-    while checked < 60:
-        n = int(rng.integers(1, 24))
-        cost = {"ties": lambda: rng.integers(0, 4, (n, n)).astype(float),
-                "spread": lambda: rng.integers(-30, 61, (n, n)).astype(float),
-                "float": lambda: rng.uniform(-5.0, 20.0, (n, n))}[weights]()
-        cost[rng.random((n, n)) < rng.choice([0.0, 0.2, 0.5])] = math.inf
-        try:
-            cols = linear_sum_assignment(cost)[1]
-        except ValueError:  # no perfect matching avoids the holes
-            continue
-        assert np.array_equal(_tight_edges(cost, cols), _reference_tight_edges(cost, cols))
-        checked += 1

@@ -87,8 +87,9 @@ def test_min_weight_perfect_matching_ties(benchmark):
 
 
 def test_min_weight_perfect_matching_all_tied(benchmark):
-    """Every row is tight with every column, so the lex-min takes 22 stages of six
-    rows, the most any 128 x 128 cost takes."""
+    """Every row ties with every column, so the span is 0 and the lex-min takes
+    16 stages: six of 7 rows, then stages that grow to 13 rows as the columns
+    left shrink, and a last one of 2."""
     got = benchmark.pedantic(min_weight_perfect_matching, (np.zeros((128, 128)),), rounds=5,
                              iterations=1)
     assert got == [(i, i) for i in range(128)]
@@ -97,9 +98,9 @@ def test_min_weight_perfect_matching_all_tied(benchmark):
 def test_min_weight_perfect_matching_all_slots(benchmark):
     """ROADMAP item 1's placement: each of the first three two-qubit layers of
     a 64-qubit circuit costed over all 512 slots of grid:32x32, made square
-    with 480 zero rows.  Each zero row is tight with all 512 columns, so the
-    lex-min takes four rows a stage: about 120 staged assignment solves, and
-    the slicing between them, dominate."""
+    with 480 zero rows.  The costs span 0 to 119, so while hundreds of
+    columns are left a stage holds four rows: 114 staged assignment solves
+    over 512 down to 11 rows, and the slicing between them, dominate."""
     g = grid_graph(32, 32)
     d, (x, y) = g.distances().astype(np.int64), np.array(maximal_matching(g)).T
     gate_layers = [layer.tg() for layer in layers(random_circuit(64, 10, seed=3)) if layer.tg()]

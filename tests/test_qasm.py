@@ -127,6 +127,21 @@ class TestRoundTrip:
         c2, ini2, fin2 = parse_qasm(text)
         assert c2 == c and ini2 == ini and fin2 == fin
 
+    def test_mapping_entries_round_trip_or_are_refused(self):
+        c = Circuit(["a", "b"], [Gate("cx", (0, 1))])
+        ini = {"a": True, "b": np.int64(3), "q[0]->v": 2**70}
+        fin = {"a": 0, "x//y": 5}
+        _, ini2, fin2 = parse_qasm(emit_qasm(c, ini, fin))
+        assert ini2 == {"a": 1, "b": 3, "q[0]->v": 2**70} and fin2 == fin
+        for bad, message in [({"a": -1}, "final vertex of 'a' must be non-negative"),
+                             ({"a": 1.5}, "final vertex of 'a' 1.5 is not an integer"),
+                             ({"a": "2"}, "final vertex of 'a' '2' is not an integer"),
+                             ({"q 0": 0}, "final map qubit name 'q 0' is empty or holds"),
+                             ({"": 0}, "final map qubit name '' is empty or holds"),
+                             ({"a\n": 0}, "final map qubit name 'a\\n' is empty or holds")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                emit_qasm(c, None, bad)
+
 
 class TestSharing:
     """Equal operand tuples and parameterless gates are one object per parse."""
