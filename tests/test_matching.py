@@ -180,18 +180,21 @@ class TestMinWeightPerfect:
             assert [r for _, r in got] == expect[1]  # exact lex tie-break
 
     # Placement costs are hop distances: {0..3} ties like a modular device,
-    # {0..60} spreads like a 32x32 grid.
-    @pytest.mark.parametrize("weights", ["ties", "spread"])
+    # {0..60} spreads like a 32x32 grid.  Float costs on a 1/8 grid, negative
+    # ones too, are passed scaled by 8 to integers; the reference reads them raw.
+    @pytest.mark.parametrize("weights", ["ties", "spread", "float"])
     def test_random_against_refixing_reference(self, weights):
         rng = random.Random(weights)
         draw = {"ties": lambda: float(rng.randint(0, 3)),
-                "spread": lambda: float(rng.randint(0, 60))}[weights]
+                "spread": lambda: float(rng.randint(0, 60)),
+                "float": lambda: round(rng.uniform(-5.0, 20.0) * 8) / 8}[weights]
+        scale = 8 if weights == "float" else 1
         for _ in range(10):
             n = rng.randint(6, 40)
             density = rng.choice([1.0, 0.8, 0.5])
             cost = [[draw() if rng.random() < density else math.inf
                      for _ in range(n)] for _ in range(n)]
-            b = WeightedBipartiteGraph(n, n, [(l, r, w) for l, row in enumerate(cost)
+            b = WeightedBipartiteGraph(n, n, [(l, r, w * scale) for l, row in enumerate(cost)
                                               for r, w in enumerate(row)
                                               if math.isfinite(w)])
             expect = refix_min_weight_pm(cost)
@@ -233,6 +236,16 @@ class TestMinWeightPerfect:
         message = f"cost[5, 0] = {float(near[5, 0])!r} is not an integer"
         with pytest.raises(ValueError, match=re.escape(message)):
             min_weight_perfect_matching(near)
+
+    # Entries k/3 apart, each moved by up to 1e-12: the reference, reading
+    # them raw under its 1e-9 tolerance, ties what the solve gets from the
+    # same cost scaled by 3 and rounded to integers.
+    def test_float_near_ties_against_refixing_reference(self):
+        rng = np.random.default_rng(9)
+        for n in (12, 30, 40):
+            cost = rng.integers(0, 4, (n, n)) / 3 + rng.uniform(0, 1e-12, (n, n))
+            assert [r for _, r in min_weight_perfect_matching(np.round(cost * 3))] == (
+                refix_min_weight_pm(cost.tolist()))
 
     # With m columns left and span the largest minus the smallest entry, a
     # stage takes the largest k <= m with m**k * (m*span + 1) <= 2**52.  16**13
