@@ -74,48 +74,54 @@ def maximal_matching(g: ArchitectureGraph) -> list[Edge]:
 
 
 def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Minimum-weight perfect matching of a square integer cost matrix, as (row, column) pairs.
+    """Minimum-weight matching of every row of a k x m integer cost, k <= m, as (row, column) pairs.
 
-    Entries may be negative; an inf entry is a forbidden pair.  Among
-    equal-weight optima the lexicographically smallest edge set is returned.
-    Raises ValueError when ``cost`` is not square, holds NaN, -inf or a finite
-    non-integer (named with its position), admits no perfect matching (which
+    Each row gets its own column; with k < m the columns no row takes are
+    simply left over, so a placement costs its gates against every slot
+    without padding rows.  Entries may be negative; an inf entry is a
+    forbidden pair.  Among equal-weight optima the lexicographically smallest
+    column sequence is returned.  Raises ValueError when ``cost`` is not 2-d
+    or has more rows than columns, holds NaN, -inf or a finite non-integer
+    (named with its position), admits no matching of every row (which
     scipy's assignment solver detects), or spans too wide a range to stage.
 
-    Rows are fixed in stages.  With m columns left and span the largest minus
-    the smallest finite entry, a stage takes the next k rows, for the largest
-    k <= m with m**k * (m*span + 1) <= 2**52.  One assignment solve over the
-    rows and columns left, of (cost - min) * m**k plus, on stage row i, each
-    column's index among those left times m**(k-1-i), gives the stage's
-    lex-min optimum: that radix sum stays below m**k, so the total cost
-    decides first, and every entry and every sum of m entries is an exact
-    float64 integer.  If n * (n*span + 1) > 2**52 no stage holds a row, and
-    a cost that has a perfect matching raises "cost range too wide".
+    Rows are fixed in stages.  With r rows and m columns left and span the
+    largest minus the smallest finite entry, a stage takes the next k rows,
+    for the largest k <= r with m**k * (m*span + 1) <= 2**52.  One
+    assignment solve over the rows and columns left, of (cost - min) * m**k
+    plus, on stage row i, each column's index among those left times
+    m**(k-1-i), gives the stage's lex-min optimum: that radix sum stays below
+    m**k, so the total cost decides first, and every entry and every sum of
+    r <= m entries is an exact float64 integer.  If m * (m*span + 1) > 2**52
+    no stage holds a row, and a cost that has a matching raises "cost range
+    too wide".
     """
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError(f"sides differ: cost has shape {cost.shape}")
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise ValueError(f"sides differ: cost has shape {cost.shape}, "
+                         f"not k x m with k <= m")
     if not (cost > -np.inf).all():  # false for NaN as well as -inf
         raise ValueError("cost holds NaN or -inf")
     if not (whole := cost == np.floor(cost)).all():  # inf is whole
         r, c = np.argwhere(~whole)[0]
         raise ValueError(f"cost[{r}, {c}] = {float(cost[r, c])!r} is not an integer")
-    n, limit = len(cost), 2 ** 52
+    n, limit = cost.shape[1], 2 ** 52
     values = cost[cost < np.inf]
     lo, span = (values.min(), int(values.max()) - int(values.min())) if values.size else (0, 0)
     if n * (n * span + 1) > limit:
         _assignment(np.where(cost < np.inf, 0.0, np.inf))  # an infeasible cost says so first
-        raise ValueError(f"cost range too wide: {n} rows spanning {span} exceed 2**52")
+        raise ValueError(f"cost range too wide: {n} columns spanning {span} exceed 2**52")
     work, cols, fixed = cost - lo, np.arange(n), []
-    while (m := len(cols)):
+    while (r := len(work)):
+        m = len(cols)
         room, k = limit // (m * span + 1), 1
-        while k < m and m ** (k + 1) <= room:
+        while k < r and m ** (k + 1) <= room:
             k += 1
         stage = work * float(m ** k)
         stage[:k] += np.outer([float(m ** p) for p in range(k - 1, -1, -1)], np.arange(m))
         picked = _assignment(stage)[:k]
         fixed += cols[picked].tolist()
-        if k == m:
+        if k == r:
             break
         free = np.ones(m, dtype=bool)
         free[picked] = False
@@ -124,7 +130,7 @@ def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _assignment(cost: np.ndarray) -> np.ndarray:
-    """The columns scipy's assignment solver gives rows 0..n-1 of a square cost."""
+    """The columns scipy's assignment solver gives rows 0..k-1 of a k x m cost, k <= m."""
     try:
         return linear_sum_assignment(cost)[1]
     except ValueError:  # entries are finite or inf, so only infeasibility raises

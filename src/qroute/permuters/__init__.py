@@ -1,13 +1,103 @@
 """Permuters: a graph and a partial permutation ``pp`` go in, a list of steps
-comes out.  Each step is a matching, vertex-disjoint edges whose swaps happen
-at once.  :func:`check_routing` is the only replay of a routing; ``pp`` itself
-is never moved."""
+comes out.
+
+The contract every permuter keeps: ``permuter(graph, pp)`` returns steps
+that :func:`check_routing` accepts.  Each step is a matching, vertex-disjoint
+edges whose swaps happen at once, and swapping along the steps in order brings
+every token of ``pp`` to its destination; a vertex ``pp`` leaves unmapped holds
+no token and may end anywhere.  ``pp`` is read, never moved.  A permuter that
+cannot route a graph raises NotImplementedError naming its kind, even for a
+request that needs no step.
+
+:func:`route` is the parallel permuter, routing via matchings; :func:`chain`
+is the naive chain's, one SWAP per step.  :func:`check_routing` is the only
+replay of a routing.
+"""
 from __future__ import annotations
 
 from collections.abc import Sequence
 
 from ..graphs import ArchitectureGraph, Edge
 from ..perm import PartialPermutation, read_vertex
+
+
+def route(graph: ArchitectureGraph, pp: PartialPermutation) -> list[list[Edge]]:
+    """Route ``pp`` via matchings on a ``path`` or ``complete`` graph.
+
+    The unmapped vertices are first given the unused destinations by
+    ``pp.complete_arbitrary()``; the kind's router sorts that total
+    permutation, and each swap of two such blanks is then dropped, as is a
+    step left empty.  A path takes at most n steps, a complete graph at most
+    2.  NotImplementedError on every other kind.
+    """
+    router = _ROUTERS.get(graph.kind)
+    if router is None:
+        raise NotImplementedError(f"no router for {graph.kind} graphs")
+    tokens = pp.complete_arbitrary().forward
+    blank = set(tokens).difference(pp.forward)  # the destinations handed to blanks
+    steps = []
+    for step in router(tokens):
+        kept = [(u, v) for u, v in step if tokens[u] not in blank or tokens[v] not in blank]
+        for u, v in step:
+            tokens[u], tokens[v] = tokens[v], tokens[u]
+        if kept:
+            steps.append(kept)
+    return steps
+
+
+def _odd_even(dest: list[int]) -> list[list[Edge]]:
+    """Odd-even transposition sort of a path's tokens by destination
+    (Habermann 1972): rounds alternate between the edges (i, i+1) of even and
+    of odd i, swapping each pair out of order; at most n rounds."""
+    dest, steps, parity = list(dest), [], 0
+    while any(dest[i] > dest[i + 1] for i in range(len(dest) - 1)):
+        step = [(i, i + 1) for i in range(parity, len(dest) - 1, 2) if dest[i] > dest[i + 1]]
+        for i, j in step:
+            dest[i], dest[j] = dest[j], dest[i]
+        steps.append(step)
+        parity ^= 1
+    return steps
+
+
+def _reflections(dest: list[int]) -> list[list[Edge]]:
+    """Two steps on a complete graph.  A cycle c_0 -> c_1 -> ... -> c_(k-1),
+    the token on c_i bound for c_(i+1), is the product of the reflections
+    c_i <-> c_(-i) and then c_i <-> c_(1-i), indices mod k."""
+    first, second, seen = [], [], [False] * len(dest)
+    for start in range(len(dest)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        while dest[cycle[-1]] != start:
+            cycle.append(dest[cycle[-1]])
+        for v in cycle:
+            seen[v] = True
+        k = len(cycle)
+        first += [(cycle[i], cycle[k - i]) for i in range(1, (k + 1) // 2)]
+        second += [(cycle[i], cycle[(1 - i) % k]) for i in range(k) if i < (1 - i) % k]
+    return [first, second]
+
+
+_ROUTERS = {"path": _odd_even, "complete": _reflections}
+
+
+def chain(graph: ArchitectureGraph, pp: PartialPermutation) -> list[list[Edge]]:
+    """The naive chain's permuter, on any kind: the one token off its
+    destination walks ``graph.shortest_path`` to it, one SWAP per step.
+
+    It routes the requests the naive placer makes, in which a gate's first
+    qubit walks to a neighbour of its partner.  ValueError for a request with
+    more than one token off its destination, or whose walk would move
+    another token.
+    """
+    off = [v for v, t in enumerate(pp.forward) if t is not None and t != v]
+    if not off:
+        return []
+    walk = graph.shortest_path(off[0], pp.forward[off[0]])
+    if len(off) > 1 or any(pp.forward[v] is not None for v in walk[1:]):
+        raise ValueError(f"the chain routes one token along a path of blanks; "
+                         f"{len(off)} are off their destinations, the first on vertex {off[0]}")
+    return [[(u, v)] for u, v in zip(walk, walk[1:])]
 
 
 def check_routing(graph: ArchitectureGraph, pp: PartialPermutation,

@@ -131,11 +131,13 @@ def routing_number_table(edges: list[tuple[int, int]], n: int) -> dict[State, in
 def brute_min_weight_pm(cost: list[list[float]]) -> tuple[float, list[int]] | None:
     """(total, lex-smallest optimal column assignment), or None if infeasible.
 
-    cost[r][c] = math.inf marks a forbidden pair.
+    ``cost`` is k x m with k <= m; each row takes its own column, and the
+    columns no row takes are left over.  cost[r][c] = math.inf marks a
+    forbidden pair.
     """
-    n = len(cost)
+    k, m = len(cost), len(cost[0]) if cost else 0
     best_total, best = math.inf, None
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(range(m), k):
         total = 0.0
         ok = True
         for r, c in enumerate(perm):

@@ -1,6 +1,9 @@
-"""numpy and scipy stay the only runtime dependencies of qroute."""
+"""numpy and scipy stay the only runtime dependencies of qroute, and the
+modules perfbench times at set-up load nothing of the routing pipeline."""
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qroute"
@@ -70,3 +73,20 @@ def test_every_private_name_is_used():
                      for name in private_definitions(tree))
     assert len(defined) > 1
     assert [d for d in defined if d[1] not in read] == []
+
+
+# perfbench's set-up span times this import, so the routing pipeline, which
+# it does not call, must stay out of it; the package's __init__ stays empty.
+def test_setup_import_leaves_the_pipeline_unloaded():
+    assert (SRC / "__init__.py").read_text(encoding="utf-8") == ""
+    script = ("import sys\n"
+              "from qroute import circuit, graphs, matching, perm, qasm\n"
+              "print(sorted(m for m in sys.modules if m.startswith('qroute')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "qroute.matching" in loaded
+    assert loaded & {"qroute.transform", "qroute.placement", "qroute.verify",
+                     "qroute.permuters"} == set()

@@ -1,7 +1,9 @@
 """Outputs do not depend on the interpreter's string-hash seed.
 
 One script prints, for each graph, its kind, its slots and one lex-min
-placement, then a digest of an emitted circuit.  Two interpreters run it
+placement, then a digest of an emitted circuit, then digests of a circuit
+routed on ``path:8`` and ``complete:8`` by each placer/permuter pair, emitted
+with its initial and final maps.  Two interpreters run it
 with different ``PYTHONHASHSEED`` values, and their outputs must match.
 """
 import os
@@ -18,7 +20,10 @@ import numpy as np
 from qroute.circuit import layers, random_circuit
 from qroute.graphs import build_architecture, parse_hier_file
 from qroute.matching import maximal_matching, min_weight_perfect_matching
+from qroute.permuters import chain, route
+from qroute.placement import matching_placer, naive_placer
 from qroute.qasm import emit_qasm
+from qroute.transform import transform
 
 graphs = [build_architecture(spec) for spec in ["path:7", "complete:6", "grid:5x6", "modular:4x3"]]
 graphs.append(parse_hier_file("n1 3\\nn2 4\\nv 0 1 0 1\\ne1 0 1\\ne1 1 2\\n"
@@ -31,6 +36,10 @@ for g in graphs:
     cost = np.minimum(d[a][:, x] + d[b][:, y], d[a][:, y] + d[b][:, x])
     print(g.kind, slots, min_weight_perfect_matching(cost))
 print(hashlib.sha256(emit_qasm(random_circuit(8, 5, seed=1)).encode()).hexdigest())
+for spec in ["path:8", "complete:8"]:
+    for pair in [(matching_placer, route), (naive_placer, chain)]:
+        routed = transform(random_circuit(8, 5, seed=2), build_architecture(spec), *pair)
+        print(spec, hashlib.sha256(emit_qasm(*routed).encode()).hexdigest())
 """
 
 
@@ -43,5 +52,5 @@ def run(hash_seed):
 
 def test_outputs_equal_across_hash_seeds():
     first, second = run("0"), run("1")
-    assert first.count("\n") == 6
+    assert first.count("\n") == 10
     assert first == second

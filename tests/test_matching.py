@@ -136,16 +136,16 @@ class TestMinWeightPerfect:
             min_weight_perfect_matching(b)
 
     def test_side_mismatch(self):
-        with pytest.raises(ValueError):
-            min_weight_perfect_matching(WeightedBipartiteGraph(2, 3))
+        with pytest.raises(ValueError, match="sides differ"):
+            min_weight_perfect_matching(WeightedBipartiteGraph(3, 2))
 
     @pytest.mark.parametrize("cost,message", [
-        (np.zeros((2, 3)), "sides differ"),
+        (np.zeros((3, 2)), "sides differ"),
         (np.zeros(3), "sides differ"),
         (np.zeros((2, 2, 2)), "sides differ"),
         (np.array([[0.0, 1.0], [math.nan, 2.0]]), "NaN or -inf"),
         (np.array([[0.0, -math.inf], [1.0, 2.0]]), "NaN or -inf"),
-    ], ids=["2x3", "1-d", "3-d", "nan", "minus-inf"])
+    ], ids=["3x2", "1-d", "3-d", "nan", "minus-inf"])
     def test_rejects_malformed_cost(self, cost, message):
         with pytest.raises(ValueError, match=message):
             min_weight_perfect_matching(cost)
@@ -178,6 +178,46 @@ class TestMinWeightPerfect:
             total = sum(cost[l][r] for l, r in got)
             assert total == pytest.approx(expect[0])
             assert [r for _, r in got] == expect[1]  # exact lex tie-break
+
+    # A k x m cost leaves m - k columns over; every row still takes the
+    # lex-min optimal column sequence, and a row no column is open to fails.
+    def test_rectangular_against_brute_force(self):
+        rng = random.Random(3000)
+        infeasible = 0
+        for _ in range(3000):
+            m = rng.randint(1, 6)
+            k = rng.randint(0, min(4, m))
+            cost = [[float(rng.randint(-3, 6)) if rng.random() < 0.8 else math.inf
+                     for _ in range(m)] for _ in range(k)]
+            expect = brute_min_weight_pm(cost)
+            if expect is None:
+                infeasible += 1
+                with pytest.raises(ValueError, match="no perfect matching exists"):
+                    min_weight_perfect_matching(np.array(cost).reshape(k, m))
+                continue
+            got = min_weight_perfect_matching(np.array(cost).reshape(k, m))
+            assert [r for r, _ in got] == list(range(k))
+            assert [c for _, c in got] == expect[1]
+        assert 0 < infeasible < 300
+
+    # Gates costed against every slot, as the matching placer does: the
+    # unpadded solve takes the first rows of the reference's lex-min over the
+    # cost padded square with zero rows, which tie on every column.  The
+    # grid:8x8 draws take two stages.
+    @pytest.mark.parametrize("graph", [grid_graph(8, 8), modular_graph(4, 4)],
+                             ids=["grid8x8", "modular4x4"])
+    def test_all_slots_against_padded_reference(self, graph):
+        d = graph.distances().astype(np.int64)
+        x, y = np.array(maximal_matching(graph)).T
+        rng = random.Random(graph.n)
+        for _ in range(20):
+            k = rng.randint(1, len(x))
+            qubits = rng.sample(range(graph.n), 2 * k)
+            a, b = np.array(qubits[0::2]), np.array(qubits[1::2])
+            cost = np.minimum(d[a][:, x] + d[b][:, y], d[a][:, y] + d[b][:, x]).astype(float)
+            padded = np.vstack([cost, np.zeros((len(x) - k, len(x)))])
+            got = [c for _, c in min_weight_perfect_matching(cost)]
+            assert got == refix_min_weight_pm(padded.tolist())[:k]
 
     # Placement costs are hop distances: {0..3} ties like a modular device,
     # {0..60} spreads like a 32x32 grid.  Float costs on a 1/8 grid, negative

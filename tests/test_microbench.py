@@ -96,19 +96,17 @@ def test_min_weight_perfect_matching_all_tied(benchmark):
 
 
 def test_min_weight_perfect_matching_all_slots(benchmark):
-    """ROADMAP item 1's placement: each of the first three two-qubit layers of
-    a 64-qubit circuit costed over all 512 slots of grid:32x32, made square
-    with 480 zero rows.  The costs span 0 to 119, so while hundreds of
-    columns are left a stage holds four rows: 114 staged assignment solves
-    over 512 down to 11 rows, and the slicing between them, dominate."""
+    """The matching placer's solve: each of the first three two-qubit layers
+    of a 64-qubit circuit costed over all 512 slots of grid:32x32, unpadded,
+    so 32 x 512.  The costs span 0 to 119, so a stage holds four rows: about
+    eight staged assignment solves over 512 down to 484 columns."""
     g = grid_graph(32, 32)
     d, (x, y) = g.distances().astype(np.int64), np.array(maximal_matching(g)).T
     gate_layers = [layer.tg() for layer in layers(random_circuit(64, 10, seed=3)) if layer.tg()]
     costs = []
     for pairs in gate_layers[:3]:
         a, b = np.array(pairs).T
-        real = np.minimum(d[a][:, x] + d[b][:, y], d[a][:, y] + d[b][:, x])
-        costs.append(np.vstack([real, np.zeros((len(x) - len(real), len(x)))]))
+        costs.append(np.minimum(d[a][:, x] + d[b][:, y], d[a][:, y] + d[b][:, x]))
     rounds = iter(costs)
     solved = []
 
@@ -119,5 +117,5 @@ def test_min_weight_perfect_matching_all_slots(benchmark):
     assert solved
     for cost, got in solved:
         rows, cols = np.array(got).T
-        assert sorted(cols.tolist()) == list(range(len(cost)))
+        assert rows.tolist() == list(range(len(cost))) and len(set(cols.tolist())) == len(cost)
         assert cost[rows, cols].sum() == cost[linear_sum_assignment(cost)].sum()

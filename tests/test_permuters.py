@@ -1,11 +1,15 @@
-"""The routing validator every permuter is checked with."""
+"""The routing validator every permuter is checked with, and the permuters."""
+import itertools
+import statistics
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_matchings, connected_small_graphs, resolved, swap_state
-from qroute.graphs import ArchitectureGraph, complete_graph, path_graph
+from oracles import (all_matchings, connected_small_graphs, reference_edges, resolved,
+                     routing_number_table, swap_state)
+from qroute.graphs import ArchitectureGraph, complete_graph, grid_graph, path_graph
 from qroute.perm import PartialPermutation
-from qroute.permuters import check_routing
+from qroute.permuters import chain, check_routing, route
 
 REVERSAL_P3 = PartialPermutation(3, [2, 1, 0])
 
@@ -118,3 +122,58 @@ def test_check_routing_agrees_with_oracle(case):
         with pytest.raises(ValueError):
             check_routing(graph, pp, steps)
     assert pp.forward == forward
+
+
+def exact_routing_numbers(graph):
+    """rt of every total and partial request on ``graph``: a partial one's is the
+    least ``routing_number_table`` value over its completions."""
+    n, exact = graph.n, {}
+    for perm, steps in routing_number_table(sorted(reference_edges(graph)), n).items():
+        for blank in itertools.product([False, True], repeat=n):
+            key = tuple(None if b else t for t, b in zip(perm, blank))
+            exact[key] = min(exact.get(key, steps), steps)
+    return exact
+
+
+# Every request on every path and complete graph of at most 6 vertices: the
+# routing checks, and its steps lie between the exact routing number and the
+# kind's bound, n on a path and 2 on a complete graph.  A total request on a
+# complete graph takes exactly rt steps; a partial one may not, since the
+# blanks' arbitrary completion can join two chains into one longer cycle.
+def test_route_bounds_exhaustively():
+    gaps = {(kind, total): [] for kind in ("path", "complete") for total in (True, False)}
+    for n, build in itertools.product(range(1, 7), [path_graph, complete_graph]):
+        graph = build(n)
+        bound = n if graph.kind == "path" else 2
+        for forward, exact in exact_routing_numbers(graph).items():
+            pp = PartialPermutation(n, forward)
+            steps = route(graph, pp)
+            check_routing(graph, pp, steps)
+            assert exact <= len(steps) <= bound, (graph, forward, steps)
+            gaps[graph.kind, None not in forward].append(len(steps) - exact)
+    for (kind, total), gap in gaps.items():
+        print(f"{kind}, {'total' if total else 'partial'}: {len(gap)} requests, "
+              f"gap to rt mean {statistics.mean(gap):.3f}, max {max(gap)}")
+    assert max(gaps["complete", True]) == 0
+
+
+def test_route_without_router():
+    with pytest.raises(NotImplementedError, match="no router for grid graphs"):
+        route(grid_graph(2, 2), PartialPermutation(4))
+
+
+# The chain walks one token along a path of blanks, one SWAP per step.
+def test_chain_walks_one_token():
+    graph = grid_graph(3, 3)
+    pp = PartialPermutation.from_mapping(9, {0: 8, 3: 3})
+    steps = chain(graph, pp)
+    check_routing(graph, pp, steps)
+    assert steps == [[(0, 1)], [(1, 2)], [(2, 5)], [(5, 8)]]
+    assert chain(graph, PartialPermutation.from_mapping(9, {3: 3})) == []
+
+
+@pytest.mark.parametrize("mapping", [{0: 2, 2: 0}, {0: 2, 1: 1}],
+                         ids=["two-tokens-off", "walk-through-token"])
+def test_chain_refuses_other_requests(mapping):
+    with pytest.raises(ValueError, match="the chain routes one token along a path of blanks"):
+        chain(path_graph(3), PartialPermutation.from_mapping(3, mapping))
