@@ -85,12 +85,3 @@ class PartialPermutation:
     def key(self) -> tuple[int | None, ...]:
         """Hashable snapshot, usable as a memoization key or set member."""
         return tuple(self.forward)
-
-    def complete_arbitrary(self) -> "PartialPermutation":
-        """Deterministic completion: unmapped sources in ascending order
-        receive the unused targets in ascending order."""
-        used = set(self.forward)
-        free = iter(t for t in range(self.n) if t not in used)
-        fwd = [t if t is not None else next(free) for t in self.forward]
-        return PartialPermutation(self.n, fwd)
-

@@ -9,9 +9,9 @@ no token and may end anywhere.  ``pp`` is read, never moved.  A permuter that
 cannot route a graph raises NotImplementedError naming its kind, even for a
 request that needs no step.
 
-:func:`route` is the parallel permuter, routing via matchings; :func:`chain`
-is the naive chain's, one SWAP per step.  :func:`check_routing` is the only
-replay of a routing.
+:func:`route` is the parallel permuter, routing via matchings, which reads
+blanks as ``None``; :func:`chain` is the naive chain's, one SWAP per step.
+:func:`check_routing` is the only replay of a routing.
 """
 from __future__ import annotations
 
@@ -24,45 +24,52 @@ from ..perm import PartialPermutation, read_vertex
 def route(graph: ArchitectureGraph, pp: PartialPermutation) -> list[list[Edge]]:
     """Route ``pp`` via matchings on a ``path`` or ``complete`` graph.
 
-    The unmapped vertices are first given the unused destinations by
-    ``pp.complete_arbitrary()``; the kind's router sorts that total
-    permutation, and each swap of two such blanks is then dropped, as is a
-    step left empty.  A path takes at most n steps, a complete graph at most
-    2.  NotImplementedError on every other kind.
+    The kind's router reads ``pp.forward``, blanks as ``None``, and never
+    swaps two blanks or emits an empty step.  A path takes at most n steps, a
+    complete graph its routing number (at most 2) with the fewest swaps.
+    NotImplementedError on every other kind.
     """
     router = _ROUTERS.get(graph.kind)
     if router is None:
         raise NotImplementedError(f"no router for {graph.kind} graphs")
-    tokens = pp.complete_arbitrary().forward
-    blank = set(tokens).difference(pp.forward)  # the destinations handed to blanks
-    steps = []
-    for step in router(tokens):
-        kept = [(u, v) for u, v in step if tokens[u] not in blank or tokens[v] not in blank]
-        for u, v in step:
-            tokens[u], tokens[v] = tokens[v], tokens[u]
-        if kept:
-            steps.append(kept)
-    return steps
+    return router(pp.forward)
 
 
-def _odd_even(dest: list[int]) -> list[list[Edge]]:
+def _odd_even(forward: list[int | None]) -> list[list[Edge]]:
     """Odd-even transposition sort of a path's tokens by destination
     (Habermann 1972): rounds alternate between the edges (i, i+1) of even and
-    of odd i, swapping each pair out of order; at most n rounds."""
-    dest, steps, parity = list(dest), [], 0
+    of odd i, swapping each pair out of order; at most n rounds.  The blanks
+    take the unused destinations in ascending order, so no two are ever out
+    of order with each other."""
+    used = set(forward)
+    free = iter(t for t in range(len(forward)) if t not in used)
+    dest = [t if t is not None else next(free) for t in forward]
+    steps, parity = [], 0
     while any(dest[i] > dest[i + 1] for i in range(len(dest) - 1)):
         step = [(i, i + 1) for i in range(parity, len(dest) - 1, 2) if dest[i] > dest[i + 1]]
         for i, j in step:
             dest[i], dest[j] = dest[j], dest[i]
-        steps.append(step)
+        if step:
+            steps.append(step)
         parity ^= 1
     return steps
 
 
-def _reflections(dest: list[int]) -> list[list[Edge]]:
-    """Two steps on a complete graph.  A cycle c_0 -> c_1 -> ... -> c_(k-1),
-    the token on c_i bound for c_(i+1), is the product of the reflections
-    c_i <-> c_(-i) and then c_i <-> c_(1-i), indices mod k."""
+def _reflections(forward: list[int | None]) -> list[list[Edge]]:
+    """At most two steps on a complete graph.  A cycle c_0 -> c_1 -> ... ->
+    c_(k-1), the token on c_i bound for c_(i+1), is the product of the
+    reflections c_i <-> c_(-i) and then c_i <-> c_(1-i), indices mod k.
+    Each chain (a token on a vertex no token is bound for, followed to its
+    blank end) is closed into its own cycle; other blanks stay put.  A cycle
+    then holds at most one blank, and both the steps and the swaps (a cycle's
+    length - 1, a chain's token count) are the fewest possible."""
+    bound = set(forward)
+    dest = [v if t is None else t for v, t in enumerate(forward)]
+    for start, t in enumerate(forward):
+        if t is not None and start not in bound:
+            while forward[t] is not None:
+                t = forward[t]
+            dest[t] = start
     first, second, seen = [], [], [False] * len(dest)
     for start in range(len(dest)):
         if seen[start]:
@@ -75,7 +82,7 @@ def _reflections(dest: list[int]) -> list[list[Edge]]:
         k = len(cycle)
         first += [(cycle[i], cycle[k - i]) for i in range(1, (k + 1) // 2)]
         second += [(cycle[i], cycle[(1 - i) % k]) for i in range(k) if i < (1 - i) % k]
-    return [first, second]
+    return [step for step in (first, second) if step]
 
 
 _ROUTERS = {"path": _odd_even, "complete": _reflections}

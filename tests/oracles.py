@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive: exhaustive search, breadth-first
-search over explicit state spaces, and repeated calls to scipy's assignment
-solver.  None of it shares code with the library algorithms it checks.
+search over explicit state spaces, repeated calls to scipy's assignment
+solver, and a dense statevector simulator.  None of it shares code with the
+library algorithms it checks.
 """
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import itertools
 import math
 import re
 from collections import deque
+
+import numpy as np
 
 State = tuple  # forward array of a partial permutation, None = no token
 
@@ -356,3 +359,49 @@ def reference_emit_qasm(circuit, initial_map=None, final_map=None) -> str:
     for q, v in (final_map or {}).items():
         lines.append(f"// final: {q} -> v[{v}]")
     return "\n".join(lines) + "\n"
+
+
+STATEVECTOR_MAX_QUBITS = 10
+_GATE_MATRICES = {
+    "h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "x": np.array([[0, 1], [1, 0]]),
+    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+}
+
+
+def _gate_matrix(name: str, params) -> np.ndarray:
+    if name == "u":
+        theta, phi, lam = params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return np.array([[c, -np.exp(1j * lam) * s],
+                         [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]])
+    if name == "rz":
+        return np.diag([np.exp(-0.5j * params[0]), np.exp(0.5j * params[0])])
+    return _GATE_MATRICES[name]
+
+
+def simulate(gates, state: np.ndarray) -> np.ndarray:
+    """``state`` after ``gates`` in order.
+
+    ``state`` has shape ``(2,) * n``, axis q being qubit q, for n at most
+    ``STATEVECTOR_MAX_QUBITS``.  Each gate is a ``(name, qubits, params)``
+    tuple of u, h, x, rz, cx or swap; a two-qubit gate's matrix is indexed
+    by its first qubit's bit, then its second's."""
+    if state.ndim > STATEVECTOR_MAX_QUBITS:
+        raise ValueError(f"{state.ndim} qubits, at most {STATEVECTOR_MAX_QUBITS} simulated")
+    for name, qubits, params in gates:
+        k = len(qubits)
+        matrix = _gate_matrix(name, params).reshape((2,) * 2 * k)
+        state = np.tensordot(matrix, state, axes=(list(range(k, 2 * k)), list(qubits)))
+        state = np.moveaxis(state, list(range(k)), list(qubits))
+    return state
+
+
+def place_state(state: np.ndarray, vertices: list[int], n: int) -> np.ndarray:
+    """``state`` on ``len(vertices)`` qubits put on ``n`` qubits: its qubit i
+    on qubit ``vertices[i]``, and every other qubit in |0>."""
+    rest = [v for v in range(n) if v not in vertices]
+    zeros = np.zeros((2,) * len(rest))
+    zeros.flat[0] = 1
+    return np.moveaxis(np.multiply.outer(state, zeros), list(range(n)), list(vertices) + rest)

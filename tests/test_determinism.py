@@ -3,7 +3,8 @@
 One script prints, for each graph, its kind, its slots and one lex-min
 placement, then a digest of an emitted circuit, then digests of a circuit
 routed on ``path:8`` and ``complete:8`` by each placer/permuter pair, emitted
-with its initial and final maps.  Two interpreters run it
+with its initial and final maps, then a digest of ``route`` over every
+request on ``path:5`` and ``complete:5``.  Two interpreters run it
 with different ``PYTHONHASHSEED`` values, and their outputs must match.
 """
 import os
@@ -14,12 +15,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 SCRIPT = """
 import hashlib
+import itertools
 
 import numpy as np
 
 from qroute.circuit import layers, random_circuit
-from qroute.graphs import build_architecture, parse_hier_file
+from qroute.graphs import build_architecture, complete_graph, parse_hier_file, path_graph
 from qroute.matching import maximal_matching, min_weight_perfect_matching
+from qroute.perm import PartialPermutation
 from qroute.permuters import chain, route
 from qroute.placement import matching_placer, naive_placer
 from qroute.qasm import emit_qasm
@@ -40,6 +43,16 @@ for spec in ["path:8", "complete:8"]:
     for pair in [(matching_placer, route), (naive_placer, chain)]:
         routed = transform(random_circuit(8, 5, seed=2), build_architecture(spec), *pair)
         print(spec, hashlib.sha256(emit_qasm(*routed).encode()).hexdigest())
+routes = []
+for graph in [path_graph(5), complete_graph(5)]:
+    for k in range(6):
+        for sources in itertools.combinations(range(5), k):
+            for targets in itertools.permutations(range(5), k):
+                forward = [None] * 5
+                for s, t in zip(sources, targets):
+                    forward[s] = t
+                routes.append(route(graph, PartialPermutation(5, forward)))
+print("route", hashlib.sha256(repr(routes).encode()).hexdigest())
 """
 
 
@@ -52,5 +65,5 @@ def run(hash_seed):
 
 def test_outputs_equal_across_hash_seeds():
     first, second = run("0"), run("1")
-    assert first.count("\n") == 10
+    assert first.count("\n") == 11
     assert first == second

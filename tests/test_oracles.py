@@ -2,10 +2,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from oracles import (bfs_routing_number, bfs_routing_size, connected_small_graphs,
-                     routing_number_table, routing_size_table)
+                     place_state, routing_number_table, routing_size_table, simulate)
 
 
 @pytest.mark.parametrize("table,search", [(routing_number_table, bfs_routing_number),
@@ -32,3 +33,19 @@ def test_complete_graph_routes_in_two_steps(n):
     table = routing_number_table(list(itertools.combinations(range(n), 2)), n)
     assert len(table) == math.factorial(n)
     assert max(table.values()) <= 2
+
+
+# The simulator's gates: u(pi, 0, pi) is x and u(pi/2, 0, pi) is h; h then cx
+# makes a Bell pair; swap exchanges its qubits' states; rz only phases.
+def test_statevector_gates():
+    zero = np.zeros((2, 2), dtype=complex)
+    zero[0, 0] = 1
+    bell = simulate([("h", (0,), ()), ("cx", (0, 1), ())], zero)
+    assert np.allclose(bell, np.array([[1, 0], [0, 1]]) / math.sqrt(2))
+    one_zero = simulate([("x", (0,), ())], zero)
+    assert np.allclose(simulate([("swap", (0, 1), ())], one_zero), one_zero.T)
+    assert np.allclose(simulate([("u", (0,), (math.pi, 0.0, math.pi))], zero), one_zero)
+    assert np.allclose(simulate([("u", (0,), (math.pi / 2, 0.0, math.pi)), ("h", (0,), ())], zero),
+                       zero)
+    assert np.allclose(abs(simulate([("rz", (0,), (0.7,))], bell)), abs(bell))
+    assert np.allclose(place_state(np.array([0, 1]), [2], 3)[0, 0], [0, 1])

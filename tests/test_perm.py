@@ -87,26 +87,6 @@ class TestConstruction:
         assert [t for t in p.forward if t is not None] == [3, 1]
 
 
-class TestCompletion:
-    def test_total_unchanged(self):
-        p = pp(3, {0: 1, 1: 2, 2: 0})
-        assert p.complete_arbitrary() == p
-
-    def test_ascending_fill(self):
-        assert pp(3, {0: 2}).complete_arbitrary() == pp(3, {0: 2, 1: 0, 2: 1})
-
-    def test_empty_becomes_identity(self):
-        assert PartialPermutation(4).complete_arbitrary() == PartialPermutation(4, range(4))
-
-    @given(random_partial())
-    def test_completion_is_total_bijection_extending_p(self, p):
-        c = p.complete_arbitrary()
-        assert None not in c.forward
-        assert sorted(c.forward) == list(range(p.n))
-        for v in p.dom():
-            assert c(v) == p(v)
-
-
 # A partial permutation never moves: swaps happen only in check_routing's
 # replay, on its own copy of ``forward``.  These pin that replay.
 class TestSwap:

@@ -1,9 +1,11 @@
 """transform routes circuits end to end, and the verifier checks what it emits."""
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import STATEVECTOR_MAX_QUBITS, place_state, simulate
 from qroute.circuit import Circuit, Gate, random_circuit
 from qroute.graphs import ArchitectureGraph, build_architecture, grid_graph, path_graph
 from qroute.permuters import chain, route
@@ -15,16 +17,19 @@ PARALLEL, NAIVE = (matching_placer, route), (naive_placer, chain)
 
 
 @st.composite
-def routing_jobs(draw):
+def routing_jobs(draw, max_vertices=16):
     """(circuit, graph, pair): a random circuit, with input swaps mixed in, on a
-    graph of at most 16 vertices; the parallel pair on path and complete only."""
+    graph of at most ``max_vertices`` vertices (at least 8); the parallel pair
+    on path and complete only."""
     pair = draw(st.sampled_from([PARALLEL, NAIVE]))
     kind = draw(st.sampled_from(["path", "complete"] + (["grid", "modular"] if pair is NAIVE
                                                          else [])))
     if kind in ("path", "complete"):
-        graph = build_architecture(f"{kind}:{draw(st.integers(2, 16))}")
+        graph = build_architecture(f"{kind}:{draw(st.integers(2, max_vertices))}")
     else:
-        graph = build_architecture(f"{kind}:{draw(st.integers(1, 4))}x{draw(st.integers(2, 4))}")
+        rows = draw(st.integers(1, 4))
+        graph = build_architecture(
+            f"{kind}:{rows}x{draw(st.integers(2, min(4, max_vertices // rows)))}")
     n = draw(st.integers(2, graph.n))
     circuit = random_circuit(n, draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)))
     for at in sorted(draw(st.lists(st.integers(0, len(circuit)), max_size=4)), reverse=True):
@@ -40,6 +45,22 @@ def test_every_routed_circuit_verifies(job):
     routed, initial, final = transform(circuit, graph, placer, permuter)
     assert initial == {q: i for i, q in enumerate(circuit.qubits)}
     verify(circuit, graph, routed, initial, final)
+
+
+# Run as statevectors, each routed circuit maps a random input state, placed
+# by the initial map with the unused vertices in |0>, to the input circuit's
+# output placed by the final map.  The verifier is not consulted.
+@given(routing_jobs(max_vertices=STATEVECTOR_MAX_QUBITS), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_every_routed_circuit_acts_like_its_input(job, seed):
+    circuit, graph, (placer, permuter) = job
+    routed, initial, final = transform(circuit, graph, placer, permuter)
+    shape, rng = (2,) * circuit.n_qubits, np.random.default_rng(seed)
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    state /= np.linalg.norm(state)
+    got = simulate(routed.gates, place_state(state, [initial[q] for q in circuit.qubits], graph.n))
+    want = place_state(simulate(circuit.gates, state), [final[q] for q in circuit.qubits], graph.n)
+    np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 @pytest.mark.parametrize("spec,n_qubits,n_layers", [("grid:4x4", 16, 60),
