@@ -1,24 +1,24 @@
 """Permuters: a graph and a partial permutation ``pp`` go in, a list of steps
 comes out.
 
-The contract every permuter keeps: ``permuter(graph, pp)`` returns steps
-that :func:`check_routing` accepts.  Each step is a matching, vertex-disjoint
-edges whose swaps happen at once, and swapping along the steps in order brings
-every token of ``pp`` to its destination; a vertex ``pp`` leaves unmapped holds
-no token and may end anywhere.  ``pp`` is read, never moved.  A permuter that
-cannot route a graph raises NotImplementedError naming its kind, even for a
-request that needs no step.
+The contract every permuter keeps: ``permuter(graph, pp)`` returns a routing
+of ``pp``.  Each step is a matching, vertex-disjoint edges of ``graph`` whose
+swaps happen at once, and swapping along the steps in order brings every token
+of ``pp`` to its destination; a vertex ``pp`` leaves unmapped holds no token
+and may end anywhere.  ``pp`` is read, never moved.  A request on another
+number of vertices than the graph's raises ValueError.  A permuter that cannot
+route a graph raises NotImplementedError naming its kind, even for a request
+that needs no step.  The test gate for this contract is
+``tests/oracles.py::is_routing``, which replays the steps on the graph's edges
+as its kind defines them.
 
 :func:`route` is the parallel permuter, routing via matchings, which reads
 blanks as ``None``; :func:`chain` is the naive chain's, one SWAP per step.
-:func:`check_routing` is the only replay of a routing.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ..graphs import ArchitectureGraph, Edge
-from ..perm import PartialPermutation, read_vertex
+from ..perm import PartialPermutation
 
 
 def route(graph: ArchitectureGraph, pp: PartialPermutation) -> list[list[Edge]]:
@@ -29,10 +29,16 @@ def route(graph: ArchitectureGraph, pp: PartialPermutation) -> list[list[Edge]]:
     complete graph its routing number (at most 2) with the fewest swaps.
     NotImplementedError on every other kind.
     """
+    _check_size(graph, pp)
     router = _ROUTERS.get(graph.kind)
     if router is None:
         raise NotImplementedError(f"no router for {graph.kind} graphs")
     return router(pp.forward)
+
+
+def _check_size(graph: ArchitectureGraph, pp: PartialPermutation) -> None:
+    if pp.n != graph.n:
+        raise ValueError(f"permutation on {pp.n} vertices, graph on {graph.n}")
 
 
 def _odd_even(forward: list[int | None]) -> list[list[Edge]]:
@@ -97,6 +103,7 @@ def chain(graph: ArchitectureGraph, pp: PartialPermutation) -> list[list[Edge]]:
     more than one token off its destination, or whose walk would move
     another token.
     """
+    _check_size(graph, pp)
     off = [v for v, t in enumerate(pp.forward) if t is not None and t != v]
     if not off:
         return []
@@ -105,27 +112,3 @@ def chain(graph: ArchitectureGraph, pp: PartialPermutation) -> list[list[Edge]]:
         raise ValueError(f"the chain routes one token along a path of blanks; "
                          f"{len(off)} are off their destinations, the first on vertex {off[0]}")
     return [[(u, v)] for u, v in zip(walk, walk[1:])]
-
-
-def check_routing(graph: ArchitectureGraph, pp: PartialPermutation,
-                  steps: Sequence[Sequence[Edge]]) -> None:
-    """Raise ValueError unless ``steps`` is a routing of ``pp`` on ``graph``: each
-    step is vertex-disjoint graph edges, and swapping along the steps in order
-    brings every token home.  The error names the first bad step or stray token."""
-    if pp.n != graph.n:
-        raise ValueError(f"permutation on {pp.n} vertices, graph on {graph.n}")
-    n, dist, tokens = graph.n, graph.distances(), list(pp.forward)
-    for i, step in enumerate(steps):
-        used: set[int] = set()
-        what = f"step {i}: vertex"
-        for u, v in step:
-            u, v = read_vertex(u, n, what), read_vertex(v, n, what)
-            if dist[u, v] != 1:
-                raise ValueError(f"step {i}: ({u}, {v}) is not an edge")
-            if u in used or v in used:
-                raise ValueError(f"step {i}: vertex {u if u in used else v} is swapped twice")
-            used.update((u, v))
-            tokens[u], tokens[v] = tokens[v], tokens[u]
-    if off := [v for v, t in enumerate(tokens) if t is not None and t != v]:
-        raise ValueError(f"{len(steps)} steps leave {len(off)} tokens unresolved: "
-                         f"vertex {off[0]} holds the token for {tokens[off[0]]}")

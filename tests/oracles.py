@@ -27,6 +27,21 @@ def swap_state(state: State, u: int, v: int) -> State:
     return tuple(s)
 
 
+def is_routing(edges, forward, steps) -> bool:
+    """Every step is a matching of ``edges`` and the swap replay ends resolved."""
+    edge_set = set(edges)
+    state = tuple(forward)
+    for step in steps:
+        ends = [w for e in step for w in e]
+        if len(set(ends)) != len(ends):
+            return False
+        if any((min(u, v), max(u, v)) not in edge_set for u, v in step):
+            return False
+        for u, v in step:
+            state = swap_state(state, u, v)
+    return resolved(state)
+
+
 def all_matchings(edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     """Every nonempty matching (set of vertex-disjoint edges)."""
     out: list[list[tuple[int, int]]] = []

@@ -1,12 +1,14 @@
-"""numpy and scipy stay the only runtime dependencies of qroute, and the
-modules perfbench times at set-up load nothing of the routing pipeline."""
+"""numpy and scipy stay the only runtime dependencies of qroute, the modules
+perfbench times at set-up load nothing of the routing pipeline, and no import,
+private name or test oracle is left unread."""
 import ast
 import os
 import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qroute"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qroute"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "qroute"}
 
 
@@ -47,16 +49,21 @@ def test_every_import_is_used():
     assert {path: names for path, names in found.items() if names} == {}
 
 
+def definitions(node):
+    """Names a module-level statement binds: a def's or class's name, or an
+    assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
 def private_definitions(tree):
     """Module-level names a module binds that start with one underscore."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return {name for node in tree.body for name in definitions(node)
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def test_every_private_name_is_used():
@@ -73,6 +80,22 @@ def test_every_private_name_is_used():
                      for name in private_definitions(tree))
     assert len(defined) > 1
     assert [d for d in defined if d[1] not in read] == []
+
+
+# An oracle no test reads checks nothing; a read inside the oracle's own
+# definition, such as a recursive call, does not count.
+def test_every_oracle_is_used():
+    oracles = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    defined = {name for node in oracles.body for name in definitions(node)}
+    read = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = definitions(node) if path.name == "oracles.py" else set()
+            read.update(n.id for n in ast.walk(node)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                        and n.id not in own)
+    assert len(defined) > 1
+    assert sorted(defined - read) == []
 
 
 # perfbench's set-up span times this import, so the routing pipeline, which

@@ -5,8 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (bfs_routing_number, bfs_routing_size, connected_small_graphs,
+from oracles import (bfs_routing_number, bfs_routing_size, connected_small_graphs, is_routing,
                      place_state, routing_number_table, routing_size_table, simulate)
+
+P2, P3, K3 = [(0, 1)], [(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("edges,forward,steps", [
+    (P3, [2, 1, 0], [[(0, 1)], [(1, 2)], [(0, 1)]]),
+    (K3, [1, 2, 0], [[(0, 1)], [(0, 2)]]),
+    (P3, [None, 0, None], [[(1, 0)]]),
+    (P2, [0, 1], []),
+], ids=["p3-reversal", "k3-cycle", "partial", "resolved"])
+def test_is_routing_accepts(edges, forward, steps):
+    assert is_routing(edges, forward, steps)
+
+
+# One case per way to fail: a step off the edges, a step that is no matching,
+# and a replay that ends with a token off its destination.
+@pytest.mark.parametrize("steps", [
+    [[(0, 1)], [(0, 2)], [(0, 1)]],
+    [[(0, 1), (1, 2)]],
+    [[(0, 1)], [(1, 2)]],
+    [],
+], ids=["non-edge", "vertex-twice", "unresolved", "no-steps"])
+def test_is_routing_rejects(steps):
+    assert not is_routing(P3, [2, 1, 0], steps)
 
 
 @pytest.mark.parametrize("table,search", [(routing_number_table, bfs_routing_number),
