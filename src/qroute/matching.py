@@ -7,6 +7,7 @@ smallest matched edge set.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -83,7 +84,8 @@ def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
     column sequence is returned.  Raises ValueError when ``cost`` is not 2-d
     or has more rows than columns, holds NaN, -inf or a finite non-integer
     (named with its position), admits no matching of every row (which
-    scipy's assignment solver detects), or spans too wide a range to stage.
+    scipy's assignment solver detects), or spans too wide a range to stage,
+    as does an integer entry beyond 2**53 in size, which float64 may round.
 
     Rows are fixed in stages.  With r rows and m columns left and span the
     largest minus the smallest finite entry, a stage takes the next k rows,
@@ -96,7 +98,8 @@ def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
     no stage holds a row, and a cost that has a matching raises "cost range
     too wide".
     """
-    cost = np.asarray(cost, dtype=np.float64)
+    given = np.asarray(cost)
+    cost = given.astype(np.float64, copy=False)
     if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
         raise ValueError(f"sides differ: cost has shape {cost.shape}, "
                          f"not k x m with k <= m")
@@ -107,7 +110,11 @@ def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
         raise ValueError(f"cost[{r}, {c}] = {float(cost[r, c])!r} is not an integer")
     n, limit = cost.shape[1], 2 ** 52
     values = cost[cost < np.inf]
-    lo, span = (values.min(), int(values.max()) - int(values.min())) if values.size else (0, 0)
+    lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
+    if max(hi, -lo) >= 2 ** 53 and any(isinstance(x, Integral) and not -2 ** 53 <= x <= 2 ** 53
+                                       for x in given.flat):  # a float is exact as given
+        raise ValueError("cost range too wide: an integer entry beyond 2**53 rounds as a float")
+    span = int(hi) - int(lo)
     if n * (n * span + 1) > limit:
         _assignment(np.where(cost < np.inf, 0.0, np.inf))  # an infeasible cost says so first
         raise ValueError(f"cost range too wide: {n} columns spanning {span} exceed 2**52")

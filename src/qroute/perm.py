@@ -2,8 +2,8 @@
 
 A partial permutation maps a subset of vertices injectively onto a subset of
 vertices, stored in a dense ``forward`` list where ``None`` marks an unmapped
-vertex: ``forward[v]`` is the destination of the token on vertex ``v``.  It is
-read, never moved: a router swaps tokens in its own copy of ``forward``.
+vertex: ``forward[v]`` is the int destination of the token on vertex ``v``.
+It is read, never moved: a router swaps tokens in its own copy of ``forward``.
 """
 from __future__ import annotations
 
@@ -44,13 +44,16 @@ class PartialPermutation:
         self.forward: list[int | None] = list(forward) if forward is not None else [None] * n
         if len(self.forward) != n:
             raise ValueError(f"forward has length {len(self.forward)}, expected {n}")
-        seen = bytearray(n)
+        seen, cast = bytearray(n), False
         for t in self.forward:
             if t is not None:
-                t = read_vertex(t, n, "target")
-                if seen[t]:
-                    raise ValueError(f"target {t} repeated; mapping is not injective")
-                seen[t] = 1
+                v = read_vertex(t, n, "target")
+                if seen[v]:
+                    raise ValueError(f"target {v} repeated; mapping is not injective")
+                seen[v] = 1
+                cast = cast or v is not t
+        if cast:  # an entry such as True or np.int64(2) is held as the int it reads as
+            self.forward = [t if t is None else index(t) for t in self.forward]
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict[int, int]) -> "PartialPermutation":
@@ -58,17 +61,6 @@ class PartialPermutation:
         for s, t in mapping.items():
             fwd[read_vertex(s, n, "source")] = t
         return cls(n, fwd)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, PartialPermutation)
-                and self.n == other.n and self.forward == other.forward)
-
-    # forward is a public list compared by value, so unhashable; key() is the hashable view.
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{s}->{t}" for s, t in self.items())
-        return f"PartialPermutation(n={self.n}, {{{pairs}}})"
 
     def __call__(self, v: int) -> int | None:
         """Target of vertex v (None if unmapped); v is read by :func:`read_vertex`."""

@@ -31,16 +31,16 @@ def transform(circuit: Circuit, graph: ArchitectureGraph,
 
     ``routed`` acts on the graph's vertices, qubit v being vertex v, and the
     maps give each logical qubit name its vertex at the start and at the end.
-    ValueError if the circuit has more qubits than the graph has vertices;
-    NotImplementedError, from the permuter, if it has no router for the
-    graph's kind.
+    ValueError if the circuit has more qubits than the graph has vertices,
+    or if the placer places no gate of those left; NotImplementedError, from
+    the permuter, if it has no router for the graph's kind.
     """
     n = circuit.n_qubits
     if n > graph.n:
         raise ValueError(f"{n} logical qubits do not fit on the {graph.n} vertices of the graph")
     # The empty request needs no step, so a permuter without a router for
     # this kind fails here rather than at the first gate that needs one.
-    permuter(graph, PartialPermutation(graph.n))
+    permuter(graph, PartialPermutation.from_mapping(graph.n, {}))
     place = placer(graph)
     at = list(range(n))  # the vertex of each qubit
     on = [*range(n), *[None] * (graph.n - n)]  # the qubit on each vertex
@@ -53,11 +53,10 @@ def transform(circuit: Circuit, graph: ArchitectureGraph,
         left = [gates[i] for i, _ in layer.two_qubit]
         while left:
             placed = place(at, [g.qubits for g in left])
-            forward: list[int | None] = [None] * graph.n
-            for i, (x, y) in placed.items():
-                a, b = left[i].qubits
-                forward[at[a]], forward[at[b]] = x, y
-            for step in permuter(graph, PartialPermutation(graph.n, forward)):
+            if not placed:
+                raise ValueError(f"the placer placed none of the {len(left)} gates left")
+            request = {at[q]: v for i, e in placed.items() for q, v in zip(left[i].qubits, e)}
+            for step in permuter(graph, PartialPermutation.from_mapping(graph.n, request)):
                 for u, v in step:
                     out.append(Gate("swap", (u, v)))
                     on[u], on[v] = on[v], on[u]

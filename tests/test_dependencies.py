@@ -113,3 +113,16 @@ def test_setup_import_leaves_the_pipeline_unloaded():
     assert "qroute.matching" in loaded
     assert loaded & {"qroute.transform", "qroute.placement", "qroute.verify",
                      "qroute.permuters"} == set()
+
+
+# The verifier checks what the router emits, so it must not share the
+# router's code: it may read circuits, graphs and the perm readers only.
+def test_verifier_imports_nothing_of_the_router():
+    parts = set()  # every dotted part of every module and name imported
+    for node in ast.walk(ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts.update(p for alias in node.names for p in alias.name.split("."))
+    assert parts & {"transform", "placement", "permuters", "matching"} == set()
+    assert {"circuit", "graphs", "perm"} <= parts

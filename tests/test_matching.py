@@ -339,6 +339,20 @@ class TestMinWeightPerfect:
         with pytest.raises(ValueError, match="no perfect matching exists"):
             min_weight_perfect_matching(wide)
 
+    # float64 rounds 2**53 + 1 to 2**53, so the int64 cost would tie and take
+    # the identity, of total 2**54 + 2, over the optimum crossing of 2**54.
+    # The same entries given as floats are exact as given, and solve.
+    def test_integer_entries_beyond_2_53_refused(self):
+        big = 2**53
+        with pytest.raises(ValueError, match="cost range too wide"):
+            min_weight_perfect_matching(np.array([[big + 1, big], [big, big + 1]]))
+        with pytest.raises(ValueError, match="cost range too wide"):
+            min_weight_perfect_matching([[-big - 1, 0], [0, 1]])
+        assert min_weight_perfect_matching(
+            np.array([[big, big - 1], [big - 1, big]])) == [(0, 1), (1, 0)]
+        assert min_weight_perfect_matching(
+            np.array([[big + 2, big], [big, big + 2]], dtype=float)) == [(0, 1), (1, 0)]
+
     # Placement-shaped input: each gate of a front layer is costed against
     # each slot of a maximal matching as the cheaper of its two orientations.
     # The 32-gate draws take several stages, as perfbench's grid1024 and

@@ -145,16 +145,62 @@ def test_verifier_rejects_wrong_final_map():
         verify(circuit, graph, routed, initial, wrong)
 
 
+IDENTITY = {f"q[{i}]": i for i in range(6)}
+
+
 @pytest.mark.parametrize("which,mapping,message", [
     ("initial", {"q[0]": 0}, "initial map names"),
     ("initial", {f"q[{i}]": 0 for i in range(6)}, "are not distinct vertices"),
-    ("final", {f"q[{i}]": i + 1 for i in range(6)}, r"are not distinct vertices of 0\.\.5"),
+    pytest.param("final", {f"q[{i}]": i + 1 for i in range(6)},
+                 re.escape("final map entry 'q[5]': 6 out of range [0, 6)"),
+                 id="final-out-of-range"),
+    pytest.param("initial", {**IDENTITY, "q[2]": "0"},
+                 re.escape("initial map entry 'q[2]': '0' is not an integer"),
+                 id="initial-string-vertex"),
+    pytest.param("final", {**IDENTITY, "q[3]": 1.5},
+                 re.escape("final map entry 'q[3]': 1.5 is not an integer"),
+                 id="final-fractional-vertex"),
 ])
 def test_verifier_rejects_malformed_map(which, mapping, message):
     circuit, graph, routed, initial, final = _routed()
     maps = {"initial": initial, "final": final, which: mapping}
     with pytest.raises(ValueError, match=message):
         verify(circuit, graph, routed, maps["initial"], maps["final"])
+
+
+# Vertex 3 holds no state: the two qubits stand on vertices 0 and 1.
+def test_verifier_rejects_gate_on_an_empty_vertex():
+    circuit = Circuit(["a", "b"], [Gate("h", (0,))])
+    routed = Circuit([f"q[{v}]" for v in range(4)], [Gate("h", (3,))])
+    maps = {"a": 0, "b": 1}
+    with pytest.raises(ValueError, match=re.escape(
+            "gate 0: h on vertices (3,) acts on a vertex with no qubit")):
+        verify(circuit, path_graph(4), routed, maps, maps)
+
+
+def test_verifier_rejects_register_larger_than_the_graph():
+    circuit, graph, routed, initial, final = _routed()
+    wide = Circuit(routed.qubits + ["q[6]"], routed.gates)
+    with pytest.raises(ValueError, match="^routed circuit has 7 qubits, the graph 6 vertices$"):
+        verify(circuit, graph, wide, initial, final)
+
+
+# A placer must place a gate each round.  One that places none is refused at
+# once, not called again for the same gates.
+def test_placer_that_places_nothing_is_refused():
+    def placer(graph):
+        calls = []
+
+        def place(at, pairs):
+            if calls:
+                raise RuntimeError("placer called again")
+            calls.append(pairs)
+            return {}
+        return place
+
+    circuit = Circuit(["a", "b", "c", "d"], [Gate("cx", (0, 3))])
+    with pytest.raises(ValueError, match="^the placer placed none of the 1 gates left$"):
+        transform(circuit, path_graph(4), placer, chain)
 
 
 # An input swap moves states; emitted as a SWAP on an edge, it verifies, and
