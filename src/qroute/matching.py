@@ -7,6 +7,7 @@ smallest matched edge set.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -52,7 +53,9 @@ def cost_matrix(n_left: int, n_right: int,
         if infinite[i]:
             raise ValueError(f"edge weight {w} is not finite")
     cost = np.full((n_left, n_right), np.inf)
-    np.minimum.at(cost, (left.astype(np.intp), right.astype(np.intp)), weight)
+    # A flat index takes ufunc.at's fast 1-d path; the endpoints are exact
+    # integers, so is their flat position.
+    np.minimum.at(cost.reshape(-1), (left * n_right + right).astype(np.intp), weight)
     return cost
 
 
@@ -103,14 +106,16 @@ def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
     if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
         raise ValueError(f"sides differ: cost has shape {cost.shape}, "
                          f"not k x m with k <= m")
-    if not (cost > -np.inf).all():  # false for NaN as well as -inf
+    lo, hi = (cost.min(), cost.max()) if cost.size else (0.0, 0.0)
+    if not lo > -np.inf:  # false for NaN as well as -inf
         raise ValueError("cost holds NaN or -inf")
-    if not (whole := cost == np.floor(cost)).all():  # inf is whole
-        r, c = np.argwhere(~whole)[0]
+    if given.dtype.kind not in "biu" and not (whole := cost == np.floor(cost)).all():
+        r, c = np.argwhere(~whole)[0]  # inf is whole
         raise ValueError(f"cost[{r}, {c}] = {float(cost[r, c])!r} is not an integer")
+    if hi == np.inf:
+        values = cost[cost < np.inf]
+        lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
     n, limit = cost.shape[1], 2 ** 52
-    values = cost[cost < np.inf]
-    lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
     if max(hi, -lo) >= 2 ** 53 and any(isinstance(x, Integral) and not -2 ** 53 <= x <= 2 ** 53
                                        for x in given.flat):  # a float is exact as given
         raise ValueError("cost range too wide: an integer entry beyond 2**53 rounds as a float")
@@ -125,7 +130,7 @@ def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
         while k < r and m ** (k + 1) <= room:
             k += 1
         stage = work * float(m ** k)
-        stage[:k] += np.outer([float(m ** p) for p in range(k - 1, -1, -1)], np.arange(m))
+        stage[:k] += _radix(m)[-k:]
         picked = _assignment(stage)[:k]
         fixed += cols[picked].tolist()
         if k == r:
@@ -134,6 +139,24 @@ def min_weight_perfect_matching(cost: np.ndarray) -> list[tuple[int, int]]:
         free[picked] = False
         work, cols = work[k:, free], cols[free]
     return list(enumerate(fixed))
+
+
+@lru_cache(maxsize=32)
+def _radix(m: int) -> np.ndarray:
+    """Read-only rows m**(K-1-i) * j for i < K, j < m: K is the most stage rows m columns take.
+
+    K is the largest k <= m with m**k <= 2**52, at most 13, and a stage of k
+    rows adds the last k rows.  The cache keeps the tables of the 32 column
+    counts used last.  A table of K * m float64s is at most 64 KiB, reached
+    at 2,048 columns (K = 4), the most slots a graph under MAX_DIST_VERTICES
+    has, so the cache holds at most 2 MiB.
+    """
+    depth = 1
+    while depth < m and m ** (depth + 1) <= 2 ** 52:
+        depth += 1
+    table = np.outer([float(m ** p) for p in range(depth - 1, -1, -1)], np.arange(m))
+    table.setflags(write=False)
+    return table
 
 
 def _assignment(cost: np.ndarray) -> np.ndarray:

@@ -57,10 +57,30 @@ class PartialPermutation:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict[int, int]) -> "PartialPermutation":
-        fwd: list[int | None] = [None] * read_count(n)
-        for s, t in mapping.items():
-            fwd[read_vertex(s, n, "source")] = t
-        return cls(n, fwd)
+        """The request that sends vertex ``s`` to ``mapping[s]``, the rest blank.
+
+        Costs O(n) for the ``forward`` list and O(len(mapping)) for the
+        checks: each source and target is read once by :func:`read_vertex`,
+        and injectivity is checked over the targets given.  Errors are those
+        of the constructor on the filled list, in its order: sources before
+        targets, and targets in ascending source order.
+        """
+        n = read_count(n)
+        sources = [read_vertex(s, n, "source") for s in mapping]
+        forward: list[int | None] = [None] * n
+        try:
+            targets = [read_vertex(t, n, "target") for t in mapping.values()]
+        except ValueError:
+            targets = []
+        if len(set(targets)) < len(mapping):  # the constructor names the first fault
+            for s, t in zip(sources, mapping.values()):
+                forward[s] = t
+            return cls(n, forward)
+        for s, t in zip(sources, targets):
+            forward[s] = t
+        request = cls.__new__(cls)
+        request.n, request.forward = n, forward
+        return request
 
     def __call__(self, v: int) -> int | None:
         """Target of vertex v (None if unmapped); v is read by :func:`read_vertex`."""

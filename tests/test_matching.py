@@ -58,6 +58,18 @@ class TestWeightedBipartiteGraph:
                                           (1, 0, 1.0)])
         assert b.tolist() == [[math.inf, -2.0], [1.0, math.inf]]
 
+    # The fill goes through one flat index per edge, l * n_right + r, which a
+    # square cost cannot tell from l * n_left + r.
+    @pytest.mark.parametrize("n_left,n_right", [(1, 7), (2, 5), (5, 2), (4, 3)])
+    def test_rectangular_against_loop(self, n_left, n_right):
+        rng = random.Random(n_left * 10 + n_right)
+        edges = [(rng.randrange(n_left), rng.randrange(n_right), rng.randint(-5, 20))
+                 for _ in range(3 * n_left * n_right)]
+        expect = [[math.inf] * n_right for _ in range(n_left)]
+        for l, r, w in edges:
+            expect[l][r] = min(expect[l][r], w)
+        assert WeightedBipartiteGraph(n_left, n_right, edges).tolist() == expect
+
     @pytest.mark.parametrize("n_left,n_right", [(-1, 2), (2, -1), (-3, -3)])
     def test_negative_side_count(self, n_left, n_right):
         with pytest.raises(ValueError, match=f"n_left={n_left}, n_right={n_right}"):
@@ -374,3 +386,66 @@ class TestMinWeightPerfect:
             got = min_weight_perfect_matching(cost)
             assert [r for _, r in got] == refix_min_weight_pm(cost.tolist())
 
+
+class TestIntegerCosts:
+    # The matching placer's cost: the cheaper orientation of int16 hop
+    # distances from distances(), each gate against every slot.  An integer
+    # cost skips the integrality pass and must solve as its float copy.  Up to
+    # 32 slots the reference checks both, reading the cost padded square with
+    # zero rows as above; grid:32x32 has 512 slots.
+    @pytest.mark.parametrize("graph", [grid_graph(4, 4), grid_graph(8, 8), modular_graph(4, 4),
+                                       grid_graph(32, 32)],
+                             ids=["grid4x4", "grid8x8", "modular4x4", "grid32x32"])
+    def test_int16_cost_solves_as_its_float_copy(self, graph):
+        d = graph.distances()
+        x, y = np.array(maximal_matching(graph), dtype=np.intp).T
+        rng = random.Random(graph.n)
+        for _ in range(20):
+            k = rng.randint(1, min(32, len(x)))
+            a, b = np.array(rng.sample(range(graph.n), 2 * k), dtype=np.intp).reshape(k, 2).T
+            cost = np.minimum(d[np.ix_(a, x)] + d[np.ix_(b, y)], d[np.ix_(a, y)] + d[np.ix_(b, x)])
+            assert cost.dtype == np.int16
+            got = min_weight_perfect_matching(cost)
+            assert got == min_weight_perfect_matching(cost.astype(np.float64))
+            if len(x) <= 32:
+                padded = np.vstack([cost, np.zeros((len(x) - k, len(x)), dtype=np.int16)])
+                assert [c for _, c in got] == refix_min_weight_pm(padded.tolist())[:k]
+
+    def test_refusals_still_fire(self):
+        big = 2**53
+        with pytest.raises(ValueError, match="an integer entry beyond 2\\*\\*53"):
+            min_weight_perfect_matching(np.array([[big + 1, big], [big, big + 1]]))
+        with pytest.raises(ValueError, match="8 columns spanning 70368744177664 exceed"):
+            min_weight_perfect_matching(np.eye(8, dtype=np.int64) * 2**46)
+        # Rows 0 and 1 of an int16 placement cost, as floats, may take only column 0.
+        d = grid_graph(4, 4).distances()
+        cost = (d[:4, :8] + d[4:8, 8:]).astype(np.float64)
+        cost[:2, 1:] = math.inf
+        with pytest.raises(ValueError, match="no perfect matching exists"):
+            min_weight_perfect_matching(cost)
+
+
+class TestRadixCache:
+    # A stage adds the last rows of the table kept for its column count, so a
+    # write into one would change every later solve over as many columns.
+    def test_tables_are_read_only(self):
+        min_weight_perfect_matching(np.zeros((3, 5)))
+        table = matching._radix(5)
+        for view in (table, table[-2:]):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 1.0
+        assert table.tolist() == [[5.0**p * j for j in range(5)] for p in range(4, -1, -1)]
+
+    def test_cache_stays_within_its_bound(self):
+        matching._radix.cache_clear()
+        rng = np.random.default_rng(64)
+        for m in range(1, 65):
+            for k in range(m + 1):
+                cost = rng.integers(0, rng.integers(1, 200), (k, m))
+                rows, cols = np.array(min_weight_perfect_matching(cost), dtype=int).reshape(-1, 2).T
+                assert cost[rows, cols].sum() == cost[linear_sum_assignment(cost)].sum()
+        info = matching._radix.cache_info()
+        assert info.hits > info.misses > info.maxsize == 32 and info.currsize == 32
+        for m in (1, 2, 13, 16, 17, 64):
+            depth = max(k for k in range(1, m + 1) if m**k <= 2**52)
+            assert matching._radix(m).shape == (depth, m)

@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from qroute.circuit import GateWeights, layers, random_circuit, weighted_metrics
 from qroute.graphs import grid_graph
 from qroute.matching import WeightedBipartiteGraph, maximal_matching, min_weight_perfect_matching
+from qroute.perm import PartialPermutation
 from qroute.qasm import emit_qasm, parse_qasm
 
 from oracles import refix_min_weight_pm
@@ -67,15 +68,35 @@ def test_weighted_bipartite_graph_build(benchmark):
     assert np.array_equal(got, cost)
 
 
-@pytest.mark.parametrize("k", [8, 32])
-def test_min_weight_perfect_matching(benchmark, k):
+# Without a dtype the cost is built from triples, as perfbench builds it; an
+# int16 cost is what the matching placer passes, and skips the integer check.
+@pytest.mark.parametrize("k,dtype", [(8, None), (32, None), (8, np.int16), (32, np.int16)],
+                         ids=["8", "32", "8-int16", "32-int16"])
+def test_min_weight_perfect_matching(benchmark, k, dtype):
     cost, edges = _placement(k)
+    if dtype is None:
+        def place():
+            return min_weight_perfect_matching(WeightedBipartiteGraph(k, k, edges))
+    else:
+        given = np.array(cost, dtype=dtype)
 
-    def place():
-        return min_weight_perfect_matching(WeightedBipartiteGraph(k, k, edges))
+        def place():
+            return min_weight_perfect_matching(given)
 
     got = benchmark.pedantic(place, rounds=20, iterations=1)
     assert [r for _, r in got] == refix_min_weight_pm(cost)
+
+
+def test_from_mapping(benchmark):
+    """A grid1024 placement's request: 64 tokens on 1,024 vertices."""
+    rng = random.Random(64)
+    mapping = dict(zip(rng.sample(range(1024), 64), rng.sample(range(1024), 64)))
+    got = benchmark.pedantic(PartialPermutation.from_mapping, (1024, mapping), rounds=20,
+                             iterations=10)
+    expect = [None] * 1024
+    for s, t in mapping.items():
+        expect[s] = t
+    assert got.key() == tuple(expect)
 
 
 def test_min_weight_perfect_matching_ties(benchmark):

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qroute.perm import PartialPermutation
 
@@ -45,6 +46,21 @@ class TestConstruction:
     def test_rejects_non_integer_size(self, make):
         with pytest.raises(ValueError, match=r"vertex count 2\.0 is not an integer"):
             make(2.0)
+
+    # Sources are read before targets, and targets in ascending source order,
+    # whatever order the mapping lists them in: each mapping's first listed
+    # fault is not the one named.
+    @pytest.mark.parametrize("mapping,message", [
+        ({0: 7, 5: 1}, r"source 5 out of range \[0, 3\)"),
+        ({1: 0.5, 0: 1, 2.5: 2}, "source 2.5 is not an integer"),
+        ({2: 0.5, 0: 9}, r"target 9 out of range \[0, 3\)"),
+        ({2: 1, 0: 1, 1: 5}, r"target 5 out of range \[0, 3\)"),
+        ({2: 0, 1: 0, 0: 0.5}, "target 0.5 is not an integer"),
+    ], ids=["bad-source-after-bad-target", "non-integer-source-last", "ascending-targets",
+            "range-before-repeat", "integer-before-repeat"])
+    def test_from_mapping_error_order(self, mapping, message):
+        with pytest.raises(ValueError, match=message):
+            PartialPermutation.from_mapping(3, mapping)
 
     def test_accepts_numpy_integers(self):
         p = PartialPermutation(3, [np.int64(2), np.int32(0), None])
@@ -89,3 +105,42 @@ class TestHashing:
         seen = {PartialPermutation(3, [1, None, 0]).key()}
         assert PartialPermutation(3, [None, 1, 0]).key() not in seen
         assert PartialPermutation(3, [1, None, 0]).key() in seen
+
+
+def _entry(draw, v):
+    """Vertex v as a request may give it: an int, a numpy integer, or a bool."""
+    kinds = [int, np.int64, np.int16] + ([bool] if v in (0, 1) else [])
+    return draw(st.sampled_from(kinds))(v)
+
+
+@st.composite
+def mappings(draw):
+    """A vertex count and a mapping over it; its targets may repeat or leave
+    the range, as the sources, drawn distinct and in range, do not."""
+    n = draw(st.integers(0, 10))
+    sources = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    if draw(st.booleans()):
+        targets = draw(st.permutations(range(n)))
+    else:
+        targets = draw(st.lists(st.integers(-1, n), min_size=n, max_size=n))
+    return n, {_entry(draw, s): _entry(draw, t) if t >= 0 else t
+               for s, t in zip(sources, targets)}
+
+
+# from_mapping checks only the entries given; it must accept, hold and
+# refuse exactly what the constructor does with the dense list they fill.
+@given(mappings())
+def test_from_mapping_agrees_with_constructor(case):
+    n, mapping = case
+    dense = [None] * n
+    for s, t in mapping.items():
+        dense[s] = t
+    try:
+        expect = PartialPermutation(n, dense).forward
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            PartialPermutation.from_mapping(n, mapping)
+    else:
+        got = PartialPermutation.from_mapping(n, mapping)
+        assert got.forward == expect and got.n == n
+        assert all(type(t) is int for t in got.forward if t is not None)
