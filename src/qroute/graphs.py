@@ -3,6 +3,11 @@
 Vertices are dense indices 0..n-1; a graph's edges (its pairs at distance 1)
 and its kind are derived from the matrix.  Hierarchical products store their
 factor graphs and connection vector; the product vertex (i, j) is i*n2 + j.
+
+Path and complete graphs and hierarchical products get their matrices in
+closed form, with numpy alone.  Only an edge set that is neither a path nor
+complete is searched, through ``scipy.sparse.csgraph``, which the first such
+graph built in a process loads.
 """
 from __future__ import annotations
 
@@ -12,8 +17,6 @@ from contextlib import contextmanager
 from operator import index
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .perm import read_count, read_vertex
 
@@ -71,6 +74,9 @@ class ArchitectureGraph:
         elif len(pairs) == n - 1 and (v - u == 1).all():
             self._hold(_path_distances(n))
         else:
+            # The only reader of scipy.sparse, so only a generic graph loads it.
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import shortest_path
             adj = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
             d = np.empty((n, n), dtype=np.int16)
             for start in range(0, n, _DIST_BLOCK_ROWS):

@@ -3,17 +3,54 @@
 All routines are deterministic: the greedy matching scans vertices in order
 and ties in the assignment problem are broken toward the lexicographically
 smallest matched edge set.
+
+The assignment solver is scipy's ``linear_sum_assignment``, the built-in
+function of its ``scipy.optimize._lsap`` extension.  Importing this module
+loads that extension from scipy's ``optimize`` directory without the rest of
+``scipy.optimize``, whose import would be most of qroute's.  An extension
+loaded already is reused; if scipy's layout has none, the public
+``from scipy.optimize import linear_sum_assignment`` gives the solver.  Either
+way it is the object ``scipy.optimize`` exports.
 """
 from __future__ import annotations
 
+import os
+import sys
 from collections.abc import Sequence
 from functools import lru_cache
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import module_from_spec
 from numbers import Integral
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy
 
 from .graphs import ArchitectureGraph, Edge
+
+_LSAP = "scipy.optimize._lsap"
+
+
+def _load_solver(search: list[str]):
+    """``linear_sum_assignment`` from the ``_lsap`` extension in one of the ``search`` directories.
+
+    The extension is entered in ``sys.modules`` under its scipy name, so a
+    later ``import scipy.optimize`` takes it from there (though not as the
+    package attribute ``scipy.optimize._lsap``).  When no ``_lsap`` is found,
+    or the one found is not an extension module, the solver comes from the
+    public ``scipy.optimize`` import.
+    """
+    spec = PathFinder.find_spec(_LSAP, search)
+    if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_LSAP] = module
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = (sys.modules[_LSAP].linear_sum_assignment if _LSAP in sys.modules
+                         else _load_solver([os.path.join(p, "optimize") for p in scipy.__path__]))
 
 # Endpoints are read as floats so that a fractional one can be rejected
 # rather than truncated.

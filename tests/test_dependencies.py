@@ -1,11 +1,20 @@
-"""numpy and scipy stay the only runtime dependencies of qroute, the modules
-perfbench times at set-up load nothing of the routing pipeline, and no import,
-private name or test oracle is left unread."""
+"""numpy and scipy stay the only runtime dependencies of qroute, and no import,
+private name or test oracle is left unread.
+
+The modules perfbench times at set-up load nothing of the routing pipeline.
+Of scipy they load only the ``scipy.optimize._lsap`` extension, which holds
+the assignment solver; the rest of ``scipy.optimize`` is imported only when
+scipy's layout has no such extension, and ``scipy.sparse.csgraph`` only when
+a generic graph is built.  These tests run fresh interpreters, since the
+test process itself has all of scipy loaded.
+"""
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "qroute"
@@ -98,21 +107,61 @@ def test_every_oracle_is_used():
     assert sorted(defined - read) == []
 
 
+def run_python(script):
+    """The stdout of ``script`` run in a fresh interpreter that imports qroute from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
 # perfbench's set-up span times this import, so the routing pipeline, which
 # it does not call, must stay out of it; the package's __init__ stays empty.
+# Set-up and compiles build closed-form graphs, take their slots and solve
+# placements, none of which needs scipy.sparse or more of scipy.optimize than
+# the assignment extension.
 def test_setup_import_leaves_the_pipeline_unloaded():
     assert (SRC / "__init__.py").read_text(encoding="utf-8") == ""
     script = ("import sys\n"
+              "import numpy as np\n"
               "from qroute import circuit, graphs, matching, perm, qasm\n"
-              "print(sorted(m for m in sys.modules if m.startswith('qroute')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    loaded = set(ast.literal_eval(out))
+              "for spec in ('grid:32x32', 'modular:16x16', 'path:8', 'complete:8'):\n"
+              "    assert matching.maximal_matching(graphs.build_architecture(spec))\n"
+              "cost = np.array([[3, 1, 2], [1, 3, 2]], dtype=np.int16)\n"
+              "assert matching.min_weight_perfect_matching(cost) == [(0, 1), (1, 0)]\n"
+              "print(sorted(m for m in sys.modules if m.startswith(('qroute', 'scipy.'))))")
+    loaded = set(ast.literal_eval(run_python(script)))
     assert "qroute.matching" in loaded
     assert loaded & {"qroute.transform", "qroute.placement", "qroute.verify",
                      "qroute.permuters"} == set()
+    assert {m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))} == {
+        "scipy.optimize._lsap"}
+
+
+# Whichever of qroute and scipy.optimize is imported first, sys.modules keeps
+# the one extension module the first import entered, and both name its solver.
+@pytest.mark.parametrize("first", ["qroute.matching", "scipy.optimize"])
+def test_one_solver_in_either_import_order(first):
+    script = (f"import sys, {first}\n"
+              "lsap = sys.modules['scipy.optimize._lsap']\n"
+              "import qroute.matching, scipy.optimize\n"
+              "print(qroute.matching.linear_sum_assignment is scipy.optimize.linear_sum_assignment,"
+              " sys.modules['scipy.optimize._lsap'] is lsap)")
+    assert run_python(script) == "True True\n"
+
+
+# A scipy whose optimize directory holds no _lsap extension, or only a Python
+# module of that name, gives the solver through the public import, and the
+# stand-in module is never run.
+@pytest.mark.parametrize("files", [{}, {"_lsap.py": "raise AssertionError('stand-in ran')\n"}],
+                         ids=["no _lsap", "_lsap.py"])
+def test_solver_falls_back_to_the_public_import(tmp_path, files):
+    from scipy.optimize import linear_sum_assignment
+
+    from qroute import matching
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert matching._load_solver([str(tmp_path)]) is linear_sum_assignment
 
 
 # The verifier checks what the router emits, so it must not share the
